@@ -15,9 +15,9 @@ from .estimators import (PluginTables, aalen_johansen, kaplan_meier,
                          zeta_hat)
 from .resampling import (BAYESIAN, EFRON, IID_WEIGHTED, WILD_CUSTOM,
                          WILD_NORMAL, WILD_POISSON, BootstrapDraw, WeightScheme,
-                         ZArray, build_z, gen_weights, multinomial_counts,
-                         scheme_from_name, validate_weight_conditions,
-                         weighted_process, wild_process)
+                         ZArray, build_z, draw_weights, scheme_from_name,
+                         validate_weight_conditions, weighted_process,
+                         wild_process)
 from .rng import fresh_seed, substream
 from .simulation import (ConstantPair, Group1Exp, HazardModel,
                          MonteCarloReport, PiecewiseConstant, ScenarioConfig,

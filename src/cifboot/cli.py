@@ -171,8 +171,9 @@ class Resolver:
         return out
 
 
-def _manifest(command: str, res: Resolver, seed: int, outputs: list[str],
-              started: float, extra: dict | None = None) -> dict:
+def _write_manifest(out: str, command: str, res: Resolver, seed: int,
+                    outputs: list[str], started: float,
+                    extra: dict | None = None) -> None:
     man = {
         "command": command,
         "config": dict(res.resolved),
@@ -187,7 +188,7 @@ def _manifest(command: str, res: Resolver, seed: int, outputs: list[str],
     }
     if extra:
         man.update(extra)
-    return man
+    _write(os.path.join(out, "manifest.json"), render_json(man))
 
 
 def parse_rho(spec: str) -> StepFunction:
@@ -261,32 +262,22 @@ def cmd_estimate(res: Resolver) -> int:
             print(f"warning: at-risk set empty after t={report.zero_after} "
                   f"(horizon {report.horizon})", file=sys.stderr)
 
-    man = _manifest("estimate", res, seed, outputs, started, extra)
-    _write(os.path.join(out, "manifest.json"), render_json(man))
+    _write_manifest(out, "estimate", res, seed, outputs, started, extra)
     return 0
 
 
+# result.json keys in output order; the bootstrap ones only for bootstrap tests
+_RESULT_KEYS = ("method", "decision", "reject", "statistic", "variance",
+                "studentized", "critical_value", "p_value", "alpha",
+                "interval", "truncated", "warning", "vn_zero")
+_BOOTSTRAP_KEYS = ("B", "scheme", "degenerate_replicates",
+                   "truncated_variances")
+
+
 def result_dict(result: TestResult) -> dict:
-    d = {
-        "method": result.method,
-        "decision": result.decision,
-        "reject": result.reject,
-        "statistic": result.statistic,
-        "variance": result.variance,
-        "studentized": result.studentized,
-        "critical_value": result.critical_value,
-        "p_value": result.p_value,
-        "alpha": result.alpha,
-        "interval": list(result.interval),
-        "truncated": result.truncated,
-        "warning": result.warning,
-        "vn_zero": result.vn_zero,
-    }
-    if result.B is not None:
-        d["B"] = result.B
-        d["scheme"] = result.scheme
-        d["degenerate_replicates"] = result.degenerate_replicates
-        d["truncated_variances"] = result.truncated_variances
+    keys = _RESULT_KEYS + (_BOOTSTRAP_KEYS if result.B is not None else ())
+    d = {key: getattr(result, key) for key in keys}
+    d["interval"] = list(result.interval)
     return d
 
 
@@ -331,8 +322,7 @@ def cmd_test(res: Resolver) -> int:
         outputs.append(_write(os.path.join(out, "replicates.csv"),
                               "\n".join(lines) + "\n"))
 
-    man = _manifest("test", res, seed, outputs, started)
-    _write(os.path.join(out, "manifest.json"), render_json(man))
+    _write_manifest(out, "test", res, seed, outputs, started)
     return 0
 
 
@@ -393,8 +383,7 @@ def cmd_simulate(res: Resolver) -> int:
                render_json({"suite": suite, "cells": cells_json})),
     ]
     extra = {"cell_runtimes_seconds": [rep.runtime for rep in reports]}
-    man = _manifest("simulate", res, seed, outputs, started, extra)
-    _write(os.path.join(out, "manifest.json"), render_json(man))
+    _write_manifest(out, "simulate", res, seed, outputs, started, extra)
     return 0
 
 
@@ -411,8 +400,7 @@ def cmd_validate_weights(res: Resolver) -> int:
     report = validate_weight_conditions(scheme, m, draws, rng)
 
     outputs = [_write(os.path.join(out, "weights.json"), render_json(report))]
-    man = _manifest("validate-weights", res, seed, outputs, started)
-    _write(os.path.join(out, "manifest.json"), render_json(man))
+    _write_manifest(out, "validate-weights", res, seed, outputs, started)
     return 0
 
 

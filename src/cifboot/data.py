@@ -109,8 +109,6 @@ def compile_panel(sample: Sample) -> CountingProcessPanel:
     deplete Y for concurrent censorings); Y uses the entry-strict,
     exit-inclusive convention.  Exact float equality defines a tie.
     """
-    if len(sample) == 0:
-        raise DataError("cannot compile an empty sample")
     entry = np.fromiter((o.entry for o in sample), dtype=float, count=len(sample))
     exit_ = np.fromiter((o.exit for o in sample), dtype=float, count=len(sample))
     status = np.fromiter((int(o.status) for o in sample), dtype=np.int64, count=len(sample))
@@ -119,13 +117,35 @@ def compile_panel(sample: Sample) -> CountingProcessPanel:
 
 def compile_panel_arrays(entry: np.ndarray, exit_: np.ndarray,
                          status: np.ndarray) -> CountingProcessPanel:
-    """Array-level panel compilation (entry, exit, status code 0/1/2)."""
+    """Array-level panel compilation (entry, exit, status code 0/1/2).
+
+    This is where every panel's input is checked: 1-d arrays of one length,
+    finite times, entry >= 0, exit > entry and a status of 0, 1 or 2.  A
+    violation raises :class:`DataError` naming the first bad row.
+    """
     entry = np.asarray(entry, dtype=float)
     exit_ = np.asarray(exit_, dtype=float)
-    status = np.asarray(status, dtype=np.int64)
+    status = np.asarray(status)
+    if not (entry.ndim == 1 and entry.shape == exit_.shape == status.shape):
+        raise DataError(f"entry, exit and status must be 1-d arrays of one "
+                        f"length, got shapes {entry.shape}, {exit_.shape}, "
+                        f"{status.shape}")
     n = exit_.shape[0]
     if n == 0:
         raise DataError("cannot compile an empty sample")
+    checks = (
+        (np.isfinite(entry) & np.isfinite(exit_), "times must be finite"),
+        (entry >= 0.0, "entry time must be >= 0"),
+        (exit_ > entry, "exit must be strictly later than entry"),
+        ((status == 0) | (status == 1) | (status == 2), "status must be 0, 1 or 2"),
+    )
+    ok = np.logical_and.reduce([good for good, _ in checks])
+    if not ok.all():
+        i = int(np.argmin(ok))
+        why = next(msg for good, msg in checks if not good[i])
+        raise DataError(f"row {i}: {why}, got entry={entry[i]}, "
+                        f"exit={exit_[i]}, status={status[i]}")
+    status = status.astype(np.int64)
 
     times, inverse = np.unique(exit_, return_inverse=True)
     m = times.shape[0]

@@ -76,6 +76,29 @@ def plugin_tables(panel: CountingProcessPanel) -> PluginTables:
     )
 
 
+def jump_table(panel: CountingProcessPanel,
+               tab: PluginTables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-entry (jump time u, Y(u), left-limit factor) for the 2n pooled slots.
+
+    Slot i < n is subject i's cause-1 entry, slot n + i its cause-2 entry;
+    the factor is S2(u-) for cause 1 and F1(u-) for cause 2.  A slot whose
+    cause the subject did not fail from (including every censored subject's
+    two slots) is inactive: (+inf, 1.0, 0.0).
+    """
+    jump_idx = panel.subject_jumps[:, 0]
+    cause = panel.subject_jumps[:, 1]
+    safe = np.clip(jump_idx, 0, None)
+    u = tab.times[safe]
+    y = tab.at_risk[safe]
+    is1 = cause == 1
+    is2 = cause == 2
+    jump_time = np.concatenate((np.where(is1, u, np.inf), np.where(is2, u, np.inf)))
+    at_risk = np.concatenate((np.where(is1, y, 1.0), np.where(is2, y, 1.0)))
+    factor = np.concatenate((np.where(is1, tab.s2_left[safe], 0.0),
+                             np.where(is2, tab.f1_left[safe], 0.0)))
+    return jump_time, at_risk, factor
+
+
 def _step(times: np.ndarray, values: np.ndarray, keep: np.ndarray,
           initial: float) -> StepFunction:
     return StepFunction(times[keep], values[keep], initial)
@@ -92,13 +115,17 @@ def kaplan_meier(panel: CountingProcessPanel) -> StepFunction:
     return _step(tab.times, tab.km, has_event, 1.0)
 
 
-def nelson_aalen(panel: CountingProcessPanel, cause: int) -> StepFunction:
-    """Cumulative cause-specific hazard estimate, sum of d_j/Y over s <= t."""
+def _cause_sum(panel: CountingProcessPanel, cause: int, power: int) -> StepFunction:
+    """Step function of the sum over s <= t of d_j(s) / Y(s)^power."""
     _check_cause(cause)
     y = panel.at_risk.astype(float)
     dj = (panel.d1 if cause == 1 else panel.d2).astype(float)
-    na = np.cumsum(dj / y)
-    return _step(panel.times, na, dj > 0, 0.0)
+    return _step(panel.times, np.cumsum(dj / y**power), dj > 0, 0.0)
+
+
+def nelson_aalen(panel: CountingProcessPanel, cause: int) -> StepFunction:
+    """Cumulative cause-specific hazard estimate, sum of d_j/Y over s <= t."""
+    return _cause_sum(panel, cause, 1)
 
 
 def aalen_johansen(panel: CountingProcessPanel, cause: int) -> StepFunction:
@@ -114,11 +141,7 @@ def aalen_johansen(panel: CountingProcessPanel, cause: int) -> StepFunction:
 
 def sigma_hat(panel: CountingProcessPanel, cause: int) -> StepFunction:
     """Variance accumulator of the cumulative hazard: sum of d_j/Y^2."""
-    _check_cause(cause)
-    y = panel.at_risk.astype(float)
-    dj = (panel.d1 if cause == 1 else panel.d2).astype(float)
-    var = np.cumsum(dj / y**2)
-    return _step(panel.times, var, dj > 0, 0.0)
+    return _cause_sum(panel, cause, 2)
 
 
 def xi_hat(panel: CountingProcessPanel) -> StepFunction:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .data import CountingProcessPanel, DataError
-from .estimators import aalen_johansen, plugin_tables
+from .estimators import aalen_johansen, jump_table, plugin_tables
 from .stepfun import StepFunction
 
 EFRON = "efron"
@@ -71,47 +71,57 @@ def scheme_from_name(name: str) -> WeightScheme:
     return WeightScheme(name)
 
 
-def multinomial_counts(rng: np.random.Generator, m: int,
-                       size: int | None = None) -> np.ndarray:
-    """Counts of a Multinomial(m, 1/m) vector via m categorical draws.
+# weight blocks are drawn in chunks of _CHUNK_ELEMS // m rows so peak memory
+# stays bounded; the chunk size must be a constant for reruns to be
+# bit-identical
+_CHUNK_ELEMS = 1 << 22
 
-    Sampling m uniform category labels and tallying them keeps the cost at
-    O(m) per vector and avoids sequential binomial splitting.
+
+def draw_weights(scheme: WeightScheme, rows: int, m: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """A (rows, m) block of weight vectors, one per row, for the given scheme.
+
+    A block consumes the generator exactly as ``rows`` one-row calls would,
+    so the way a run is split into blocks never changes the draws.
     """
-    if size is None:
-        draws = rng.integers(0, m, size=m)
-        return np.bincount(draws, minlength=m)
-    draws = rng.integers(0, m, size=(size, m))
-    flat = draws + m * np.arange(size)[:, None]
-    return np.bincount(flat.ravel(), minlength=size * m).reshape(size, m)
-
-
-def gen_weights(scheme: WeightScheme, m: int, rng: np.random.Generator) -> np.ndarray:
-    """One weight vector of length m for the given scheme."""
     if m < 1:
         raise DataError(f"weight vector length must be >= 1, got {m}")
     if scheme.kind == EFRON:
-        return multinomial_counts(rng, m).astype(float) - 1.0
+        # Multinomial(m, 1/m) counts as tallies of m uniform category labels
+        # per row: O(m) per row, no sequential binomial splitting
+        labels = rng.integers(0, m, size=(rows, m)) + m * np.arange(rows)[:, None]
+        counts = np.bincount(labels.ravel(), minlength=rows * m)
+        return counts.reshape(rows, m) - 1.0
     if scheme.kind == WILD_NORMAL:
-        return rng.standard_normal(m)
+        return rng.standard_normal((rows, m))
     if scheme.kind == WILD_POISSON:
-        return rng.poisson(1.0, m).astype(float) - 1.0
-    if scheme.kind == WILD_CUSTOM:
-        w = np.asarray(scheme.sampler(rng, m), dtype=float)
-        if w.shape != (m,):
-            raise DataError("custom sampler returned wrong shape")
-        return w
+        return rng.poisson(1.0, (rows, m)).astype(float) - 1.0
     if scheme.kind == BAYESIAN:
-        eta = rng.standard_exponential(m)
-        return eta / eta.mean() - 1.0
-    # iid-weighted
-    eta = np.asarray(scheme.eta_sampler(rng, m), dtype=float)
-    if eta.shape != (m,):
-        raise DataError("eta sampler returned wrong shape")
-    if np.any(eta <= 0):
+        eta = rng.standard_exponential((rows, m))
+        return eta / eta.mean(axis=1, keepdims=True) - 1.0
+    # wild-custom and iid-weighted: the sampler contract is one vector per call
+    sampler = scheme.sampler if scheme.kind == WILD_CUSTOM else scheme.eta_sampler
+    draws = []
+    for _ in range(rows):
+        draws.append(np.asarray(sampler(rng, m), dtype=float))
+        if draws[-1].shape != (m,):
+            raise DataError(f"{scheme.kind} sampler returned wrong shape")
+    w = np.array(draws).reshape(rows, m)
+    if scheme.kind == WILD_CUSTOM:
+        return w
+    if np.any(w <= 0):
         raise DataError("iid-weighted eta draws must be positive")
     c_eta = scheme.sigma_eta / scheme.mu_eta
-    return (eta / eta.mean() - 1.0) / c_eta
+    return (w / w.mean(axis=1, keepdims=True) - 1.0) / c_eta
+
+
+def weight_chunks(scheme: WeightScheme, rows: int, m: int,
+                  rng: np.random.Generator):
+    """Yield (row slice, weight block) pairs covering ``rows`` weight rows."""
+    chunk = max(1, _CHUNK_ELEMS // m)
+    for start in range(0, rows, chunk):
+        take = min(chunk, rows - start)
+        yield slice(start, start + take), draw_weights(scheme, take, m, rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,11 +139,10 @@ class ZArray:
     jump_time: np.ndarray = field(repr=False)
     at_risk: np.ndarray = field(repr=False)
     factor: np.ndarray = field(repr=False)
-    cause: np.ndarray = field(repr=False)
     f1: StepFunction = field(repr=False)
 
     def __post_init__(self):
-        for arr in (self.jump_time, self.at_risk, self.factor, self.cause):
+        for arr in (self.jump_time, self.at_risk, self.factor):
             arr.setflags(write=False)
 
     @property
@@ -149,33 +158,8 @@ class ZArray:
 
 def build_z(panel: CountingProcessPanel) -> ZArray:
     """Assemble the 2n-entry Z array of a panel."""
-    tab = plugin_tables(panel)
-    n = panel.n
-    jump_idx = panel.subject_jumps[:, 0]
-    cause = panel.subject_jumps[:, 1]
-    safe_idx = np.clip(jump_idx, 0, None)
-
-    u = np.where(jump_idx >= 0, panel.times[safe_idx], np.inf)
-    y = np.where(jump_idx >= 0, tab.at_risk[safe_idx], 1.0)
-
-    is1 = cause == 1
-    is2 = cause == 2
-    jump_time = np.concatenate((np.where(is1, u, np.inf), np.where(is2, u, np.inf)))
-    at_risk = np.concatenate((np.where(is1, y, 1.0), np.where(is2, y, 1.0)))
-    factor = np.concatenate((
-        np.where(is1, tab.s2_left[safe_idx], 0.0),
-        np.where(is2, tab.f1_left[safe_idx], 0.0),
-    ))
-    entry_cause = np.concatenate((np.where(is1, 1, 0), np.where(is2, 2, 0)))
-
-    return ZArray(
-        n=n,
-        jump_time=jump_time,
-        at_risk=at_risk.astype(float),
-        factor=factor,
-        cause=entry_cause.astype(np.int8),
-        f1=aalen_johansen(panel, 1),
-    )
+    return ZArray(panel.n, *jump_table(panel, plugin_tables(panel)),
+                  f1=aalen_johansen(panel, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,19 +171,18 @@ class BootstrapDraw:
     values: np.ndarray = field(repr=False)
 
 
-def _jump_sum_on_grid(jump_time, coef, f1: StepFunction, grid) -> np.ndarray:
-    """sum over jumps u <= s of coef_a - f1(s) * coef_b, per grid point s.
+def _entry_sum_on_grid(z: ZArray, w: np.ndarray, grid) -> np.ndarray:
+    """sum_l w_l Z_l(s) per grid point s.
 
-    coef is a pair (a, b) of per-jump coefficients; sorting by jump time
-    turns the indicator sums into prefix-sum lookups.
+    Each active entry adds w (factor - F1(s)) / Y(u) once u <= s; sorting the
+    entries by jump time turns the indicator sums into prefix-sum lookups.
+    Inactive entries have jump time +inf and never enter the prefix sums.
     """
-    a, b = coef
-    order = np.argsort(jump_time, kind="stable")
-    times_sorted = jump_time[order]
-    cum_a = np.concatenate(([0.0], np.cumsum(a[order])))
-    cum_b = np.concatenate(([0.0], np.cumsum(b[order])))
-    pos = np.searchsorted(times_sorted, grid, side="right")
-    return cum_a[pos] - f1(grid) * cum_b[pos]
+    order = np.argsort(z.jump_time, kind="stable")
+    cum_a = np.concatenate(([0.0], np.cumsum((w * z.factor / z.at_risk)[order])))
+    cum_b = np.concatenate(([0.0], np.cumsum((w / z.at_risk)[order])))
+    pos = np.searchsorted(z.jump_time[order], grid, side="right")
+    return cum_a[pos] - z.f1(grid) * cum_b[pos]
 
 
 def wild_process(panel: CountingProcessPanel, multipliers: np.ndarray,
@@ -218,11 +201,8 @@ def wild_process(panel: CountingProcessPanel, multipliers: np.ndarray,
         raise DataError(f"need one multiplier per subject, got shape {multipliers.shape}")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
 
-    z = build_z(panel)
     g2 = np.concatenate((multipliers, multipliers))  # entry i and n+i belong to subject i
-    coef = (g2 * z.factor / z.at_risk, g2 / z.at_risk)
-    # inactive entries have jump time +inf and never enter the prefix sums
-    values = np.sqrt(panel.n) * _jump_sum_on_grid(z.jump_time, coef, z.f1, grid)
+    values = np.sqrt(panel.n) * _entry_sum_on_grid(build_z(panel), g2, grid)
     return BootstrapDraw(weights=multipliers, grid=grid, values=values)
 
 
@@ -240,8 +220,7 @@ def weighted_process(z: ZArray, weights: np.ndarray, grid) -> BootstrapDraw:
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
 
     centered = weights - weights.mean()
-    coef = (centered * z.factor / z.at_risk, centered / z.at_risk)
-    values = np.sqrt(z.size) * _jump_sum_on_grid(z.jump_time, coef, z.f1, grid)
+    values = np.sqrt(z.size) * _entry_sum_on_grid(z, centered, grid)
     return BootstrapDraw(weights=weights, grid=grid, values=values)
 
 
@@ -266,15 +245,10 @@ def validate_weight_conditions(scheme: WeightScheme, m: int, draws: int,
     per_draw = {name: np.empty(draws) for name in
                 ("max_scaled", "variance", "fourth", "cross_g6", "cross_g7")}
 
-    chunk = max(1, min(draws, 20_000_000 // m))
-    done = 0
-    while done < draws:
-        take = min(chunk, draws - done)
-        w = np.stack([gen_weights(scheme, m, rng) for _ in range(take)])
+    for sl, w in weight_chunks(scheme, draws, m, rng):
         c = w - w.mean(axis=1, keepdims=True)
         s2 = np.sum(c**2, axis=1)
         s4 = np.sum(c**4, axis=1)
-        sl = slice(done, done + take)
         per_draw["max_scaled"][sl] = np.max(np.abs(c), axis=1) / np.sqrt(m)
         per_draw["variance"][sl] = s2 / m
         per_draw["fourth"][sl] = s4 / m
@@ -284,7 +258,6 @@ def validate_weight_conditions(scheme: WeightScheme, m: int, draws: int,
         denom4 = denom3 * (m - 3)
         per_draw["cross_g6"][sl] = half * (2.0 * s4 - s2**2) / denom3
         per_draw["cross_g7"][sl] = half**2 * (3.0 * s2**2 - 6.0 * s4) / denom4
-        done += take
 
     def entry(name, target=None, note=None):
         vals = per_draw[name]

@@ -76,20 +76,6 @@ class StepFunction:
         return float(self.values[-1]) if self.values.size else self.initial_value
 
 
-def merge_breakpoints(a: float, b: float, *funcs: StepFunction) -> np.ndarray:
-    """Sorted breakpoint grid a = p0 < ... < pk = b refined by all jump times."""
-    inner = [f.breakpoints_in(a, b) for f in funcs]
-    pts = np.unique(np.concatenate([np.array([a, b])] + inner))
-    return pts
-
-
-def integrate_product(f: StepFunction, g: StepFunction, a: float, b: float) -> float:
-    """Exact integral of f*g over [a, b] (both piecewise constant)."""
-    pts = merge_breakpoints(a, b, f, g)
-    left = pts[:-1]
-    return float(np.sum(f(left) * g(left) * np.diff(pts)))
-
-
 CONSTANT_ONE = StepFunction(np.array([]), np.array([]), 1.0)
 
 

@@ -27,16 +27,12 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import CountingProcessPanel, DataError
-from .estimators import PluginTables, plugin_tables
-from .resampling import (BAYESIAN, EFRON, IID_WEIGHTED, WILD_NORMAL,
-                         WILD_POISSON, WeightScheme, multinomial_counts)
+from .estimators import PluginTables, jump_table, plugin_tables
+from .resampling import (BAYESIAN, EFRON, IID_WEIGHTED, WeightScheme,
+                         weight_chunks)
 from .stepfun import CONSTANT_ONE, StepFunction
 
 _NORMAL = NormalDist()
-
-# replicate blocks are generated in fixed-size chunks so peak memory stays
-# bounded; the chunk size must be a constant for reruns to be bit-identical
-_CHUNK_ELEMS = 1 << 22
 
 
 class NumericalError(RuntimeError):
@@ -156,11 +152,6 @@ class PooledZ:
     def kappa(self) -> float:
         return math.sqrt(self.n1 * self.n2 / self.n)
 
-    @property
-    def split(self) -> int:
-        # boundary between group-1 and group-2 entries
-        return 2 * self.n1
-
     def variance_vn(self) -> float:
         """V_n^2, the rho-weighted double integral of the pooled covariance.
 
@@ -170,8 +161,9 @@ class PooledZ:
         sums are kept separate so a group swap reproduces the value bit for
         bit.
         """
-        i1 = self.integrals[:self.split]
-        i2 = self.integrals[self.split:]
+        split = 2 * self.n1  # boundary between group-1 and group-2 entries
+        i1 = self.integrals[:split]
+        i2 = self.integrals[split:]
         return float(self.kappa**2 * (np.sum(i1 * i1) + np.sum(i2 * i2)))
 
 
@@ -206,6 +198,23 @@ def effective_window(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
     return config.t1, t2_eff
 
 
+def _window_segments(t1: float, t2: float, inner: np.ndarray,
+                     rho: StepFunction, tabs: tuple[PluginTables, ...]):
+    """Split [t1, t2] at the ``inner`` times inside it and at rho's jumps.
+
+    Returns the breakpoints, the segment widths, rho on each segment and,
+    per table, F1 on each segment (all of them constant there).
+    """
+    inner = inner[(inner > t1) & (inner < t2)]
+    pts = np.unique(np.concatenate((
+        np.array([t1, t2]), inner, rho.breakpoints_in(t1, t2))))
+    seg_left = pts[:-1]
+    rho_v = np.asarray(rho(seg_left), dtype=float)
+    f1_v = [np.concatenate(([0.0], tab.f1))[
+        np.searchsorted(tab.times, seg_left, side="right")] for tab in tabs]
+    return pts, np.diff(pts), rho_v, f1_v
+
+
 def _group_integrals(tab: PluginTables, panel: CountingProcessPanel,
                      t1: float, t2: float, rho: StepFunction,
                      sign: float) -> np.ndarray:
@@ -222,83 +231,44 @@ def _group_integrals(tab: PluginTables, panel: CountingProcessPanel,
     grid's last point, where both tails are exactly zero.
     """
     event_times = tab.times[(tab.d1 + tab.d2) > 0]
-    inner = event_times[(event_times > t1) & (event_times < t2)]
-    pts = np.unique(np.concatenate((
-        np.array([t1, t2]), inner, rho.breakpoints_in(t1, t2))))
-    seg_left = pts[:-1]
-    dt = np.diff(pts)
-    rho_v = np.asarray(rho(seg_left), dtype=float)
-    f1_pad = np.concatenate(([0.0], tab.f1))
-    f1_v = f1_pad[np.searchsorted(tab.times, seg_left, side="right")]
-
+    pts, dt, rho_v, (f1_v,) = _window_segments(t1, t2, event_times, rho, (tab,))
     tail_rho = np.concatenate((np.cumsum((rho_v * dt)[::-1])[::-1], [0.0]))
     tail_rho_f1 = np.concatenate(
         (np.cumsum((rho_v * f1_v * dt)[::-1])[::-1], [0.0]))
 
-    jump_idx = panel.subject_jumps[:, 0]
-    cause = panel.subject_jumps[:, 1]
-    safe = np.clip(jump_idx, 0, None)
-    u = np.where(jump_idx >= 0, tab.times[safe], np.inf)
-    y = tab.at_risk[safe].astype(float)
-
+    u, y, factor = jump_table(panel, tab)
     # active jump times are grid members by construction, so searchsorted
-    # lands exactly on them; inactive and out-of-window entries clamp to t2
-    # where the tails vanish
-    x = np.minimum(np.maximum(u, t1), t2)
-    pos = np.searchsorted(pts, x)
-    r = tail_rho[pos]
-    p = tail_rho_f1[pos]
-
-    cause1 = np.where(cause == 1, (tab.s2_left[safe] * r - p) / y, 0.0)
-    cause2 = np.where(cause == 2, (tab.f1_left[safe] * r - p) / y, 0.0)
-    return sign * np.concatenate((cause1, cause2))
+    # lands exactly on them; inactive (+inf) and out-of-window entries clamp
+    # to t2 where the tails vanish, and their factor is 0
+    pos = np.searchsorted(pts, np.minimum(np.maximum(u, t1), t2))
+    return sign * ((factor * tail_rho[pos] - tail_rho_f1[pos]) / y)
 
 
 def _tn(tab1: PluginTables, tab2: PluginTables, t1: float, t2: float,
-        rho: StepFunction, n1: int, n2: int) -> float:
+        rho: StepFunction, kappa: float) -> float:
     """T_n as an exact sum over segments where both estimates are constant."""
     jumps = np.concatenate((tab1.times[tab1.d1 > 0], tab2.times[tab2.d1 > 0]))
-    inner = jumps[(jumps > t1) & (jumps < t2)]
-    pts = np.unique(np.concatenate((
-        np.array([t1, t2]), inner, rho.breakpoints_in(t1, t2))))
-    seg_left = pts[:-1]
-    dt = np.diff(pts)
-    rho_v = np.asarray(rho(seg_left), dtype=float)
-
-    def f1_at(tab):
-        pad = np.concatenate(([0.0], tab.f1))
-        return pad[np.searchsorted(tab.times, seg_left, side="right")]
-
-    kappa = math.sqrt(n1 * n2 / (n1 + n2))
-    return float(kappa * np.sum(rho_v * (f1_at(tab1) - f1_at(tab2)) * dt))
+    _, dt, rho_v, (f1a, f1b) = _window_segments(t1, t2, jumps, rho, (tab1, tab2))
+    return float(kappa * np.sum(rho_v * (f1a - f1b) * dt))
 
 
 def pooled_z(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
              config: TestConfig) -> PooledZ:
-    """Build the pooled signed Z-integral vector for a pair of panels."""
-    t1, t2 = effective_window(panel1, panel2, config)
-    rho = config.rho_or_one
-    parts = (
-        _group_integrals(plugin_tables(panel1), panel1, t1, t2, rho, +1.0),
-        _group_integrals(plugin_tables(panel2), panel2, t1, t2, rho, -1.0),
-    )
-    return PooledZ(n1=panel1.n, n2=panel2.n, t1=t1, t2=t2,
-                   requested_t2=config.t2, integrals=np.concatenate(parts))
+    """The pooled signed Z-integral vector for a pair of panels."""
+    return _prepare(panel1, panel2, config).pooled
 
 
 def integral_statistic(panel1: CountingProcessPanel,
                        panel2: CountingProcessPanel,
                        config: TestConfig) -> float:
     """T_n: the rho-weighted window integral of the estimate difference."""
-    t1, t2 = effective_window(panel1, panel2, config)
-    return _tn(plugin_tables(panel1), plugin_tables(panel2), t1, t2,
-               config.rho_or_one, panel1.n, panel2.n)
+    return _prepare(panel1, panel2, config).statistic
 
 
 def variance_vn(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
                 config: TestConfig) -> float:
     """V_n^2: the plug-in variance of T_n."""
-    return pooled_z(panel1, panel2, config).variance_vn()
+    return _prepare(panel1, panel2, config).variance
 
 
 def prepare_test(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
@@ -311,6 +281,13 @@ def prepare_test(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
     for panel in (panel1, panel2):
         if panel.n < 2:
             raise DataError("two-sample tests need at least 2 subjects per group")
+    return _prepare(panel1, panel2, config)
+
+
+def _prepare(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
+             config: TestConfig) -> PreparedTest:
+    # prepare_test without its group-size guard, which the plain
+    # functionals above (pooled_z, integral_statistic, variance_vn) lack
     t1, t2 = effective_window(panel1, panel2, config)
     tab1 = plugin_tables(panel1)
     tab2 = plugin_tables(panel2)
@@ -320,7 +297,7 @@ def prepare_test(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
         integrals=np.concatenate((
             _group_integrals(tab1, panel1, t1, t2, rho, +1.0),
             _group_integrals(tab2, panel2, t1, t2, rho, -1.0))))
-    tn = _tn(tab1, tab2, t1, t2, rho, panel1.n, panel2.n)
+    tn = _tn(tab1, tab2, t1, t2, rho, pooled.kappa)
     return PreparedTest(pooled=pooled, statistic=tn,
                         variance=pooled.variance_vn())
 
@@ -334,22 +311,55 @@ def test_phi_n(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
     flags the result.
     """
     prep = prepare_test(panel1, panel2, config)
-    stud = prep.studentized
     crit = _NORMAL.inv_cdf(1.0 - config.alpha)
+    return _result(prep, config, "asymptotic", crit,
+                   1.0 - _NORMAL.cdf(prep.studentized))
+
+
+def _result(prep: PreparedTest, config: TestConfig, method: str,
+            crit: float, p_value: float, **bootstrap) -> TestResult:
+    # the fields both tests share; ``bootstrap`` carries the rest
     return TestResult(
-        method="asymptotic",
+        method=method,
         statistic=prep.statistic,
         variance=prep.variance,
-        studentized=stud,
+        studentized=prep.studentized,
         critical_value=crit,
-        p_value=1.0 - _NORMAL.cdf(stud),
-        reject=stud > crit,
+        p_value=p_value,
+        reject=prep.studentized > crit,
         alpha=config.alpha,
         interval=(prep.pooled.t1, prep.pooled.t2),
         truncated=prep.pooled.truncated,
         warning=prep.pooled.warning,
         vn_zero=prep.vn_zero,
+        **bootstrap,
     )
+
+
+def _replicate_kernel(pooled: PooledZ, w: np.ndarray, v: np.ndarray,
+                      include_xi: bool):
+    """T* and V*^2 for weight vectors w and v-weight vectors v (rows of a
+    block, or single vectors).
+
+    T* = kappa w.I and V*^2 = kappa^2 v.I^2, less kappa^2 (v.I)^2 / m with
+    the correction term.  Negative V*^2 (possible only with the correction)
+    are clipped to 0 here and counted; the count is the third value.
+    """
+    i = pooled.integrals
+    k2 = pooled.kappa**2
+    tstar = pooled.kappa * (w @ i)
+    vstar = k2 * (v @ (i * i))
+    if include_xi:
+        vstar -= k2 / pooled.size * (v @ i)**2
+    truncated = int(np.count_nonzero(vstar < 0))
+    return tstar, np.maximum(vstar, 0.0), truncated
+
+
+def _vector(pooled: PooledZ, values, what: str) -> np.ndarray:
+    vec = np.asarray(values, dtype=float)
+    if vec.shape != (pooled.size,):
+        raise DataError(f"need {pooled.size} {what}, got shape {vec.shape}")
+    return vec
 
 
 def bootstrap_statistic(z_pooled: PooledZ, weights,
@@ -362,12 +372,12 @@ def bootstrap_statistic(z_pooled: PooledZ, weights,
     pooled mean of the weights, which integrates the Z-bar term exactly;
     ``centered=False`` gives the wild variant that omits it.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (z_pooled.size,):
-        raise DataError(f"need {z_pooled.size} weights, got shape {w.shape}")
+    w = _vector(z_pooled, weights, "weights")
     if centered:
         w = w - w.mean()
-    return float(z_pooled.kappa * (w @ z_pooled.integrals))
+    # only T* is wanted; the V* the kernel forms from the same vector is dropped
+    tstar, _, _ = _replicate_kernel(z_pooled, w, w, include_xi=False)
+    return float(tstar)
 
 
 def bootstrap_variance(z_pooled: PooledZ, v_weights,
@@ -380,21 +390,14 @@ def bootstrap_variance(z_pooled: PooledZ, v_weights,
     samples; it is then truncated to 0 with a warning.  Wild multipliers use
     v = G^2 and no correction.
     """
-    v = np.asarray(v_weights, dtype=float)
-    if v.shape != (z_pooled.size,):
-        raise DataError(f"need {z_pooled.size} v-weights, got shape {v.shape}")
+    v = _vector(z_pooled, v_weights, "v-weights")
     if np.any(v < 0):
         raise DataError("v-weights must be nonnegative")
-    i = z_pooled.integrals
-    k2 = z_pooled.kappa**2
-    out = k2 * (v @ (i * i))
-    if include_xi:
-        out -= k2 / z_pooled.size * (v @ i)**2
-    if out < 0:
+    _, vstar, truncated = _replicate_kernel(z_pooled, v, v, include_xi)
+    if truncated:
         warnings.warn("negative resampled variance truncated to 0",
                       RuntimeWarning, stacklevel=2)
-        return 0.0
-    return float(out)
+    return float(vstar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,56 +409,33 @@ class ReplicateBlock:
     truncated: int = 0
 
 
-def _wild_matrix(scheme: WeightScheme, rows: int, cols: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    if scheme.kind == WILD_NORMAL:
-        return rng.standard_normal((rows, cols))
-    if scheme.kind == WILD_POISSON:
-        return rng.poisson(1.0, (rows, cols)).astype(float) - 1.0
-    # wild-custom: the sampler contract is one vector per call
-    return np.stack([
-        np.asarray(scheme.sampler(rng, cols), dtype=float)
-        for _ in range(rows)])
-
-
 def replicate_block(pooled: PooledZ, scheme: WeightScheme, B: int,
                     rng: np.random.Generator) -> ReplicateBlock:
     """Generate B studentized bootstrap replicates as vectorized blocks.
 
-    Efron draws multinomial count vectors (w = m - 1 centered, v = m with
-    the correction term); wild schemes draw iid multipliers (uncentered,
-    v = G^2, no correction).  Replicates whose variance is not positive get
-    studentized value 0 and are counted as degenerate; negative Efron
-    variances are clipped to 0 first and counted as truncated.
+    Efron draws multinomial count vectors (w = counts - 1, whose mean is
+    exactly 0, and v = counts with the correction term); wild schemes draw
+    iid multipliers (uncentered, v = G^2, no correction).  Replicates whose
+    variance is not positive get studentized value 0 and are counted as
+    degenerate; negative Efron variances are clipped to 0 first and counted
+    as truncated.
+
+    The iid-weighted and Bayesian schemes are refused: Efron's V* needs
+    v = w + 1 >= 0, which iid-weighted weights do not guarantee, and no
+    size check covers a test under the Bayesian scheme.
     """
     if scheme.kind in (IID_WEIGHTED, BAYESIAN):
         raise DataError("the two-sample bootstrap test supports the efron "
                         "and wild schemes only")
-    i = pooled.integrals
-    i2 = i * i
-    m = pooled.size
-    k = pooled.kappa
+    efron = scheme.kind == EFRON
     tstar = np.empty(B)
     vstar = np.empty(B)
-    chunk = max(1, _CHUNK_ELEMS // m)
-    done = 0
-    while done < B:
-        take = min(chunk, B - done)
-        sl = slice(done, done + take)
-        if scheme.kind == EFRON:
-            counts = multinomial_counts(rng, m, size=take).astype(float)
-            w = counts - 1.0
-            w -= w.mean(axis=1, keepdims=True)  # exact zero, kept for clarity
-            tstar[sl] = k * (w @ i)
-            vstar[sl] = k**2 * (counts @ i2) - k**2 / m * (counts @ i)**2
-        else:
-            g = _wild_matrix(scheme, take, m, rng)
-            tstar[sl] = k * (g @ i)
-            vstar[sl] = k**2 * ((g * g) @ i2)
-        done += take
+    truncated = 0
+    for sl, w in weight_chunks(scheme, B, pooled.size, rng):
+        tstar[sl], vstar[sl], clipped = _replicate_kernel(
+            pooled, w, w + 1.0 if efron else w * w, include_xi=efron)
+        truncated += clipped
 
-    truncated = int(np.count_nonzero(vstar < 0))
-    np.maximum(vstar, 0.0, out=vstar)
     positive = vstar > 0
     degenerate = int(B - np.count_nonzero(positive))
     stud = np.zeros(B)
@@ -496,19 +476,9 @@ def test_phi_star(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
     else:
         crit = float(np.sort(block.studentized)[rank - 1])
     p = (1 + int(np.count_nonzero(block.studentized >= stud))) / (config.B + 1)
-    return TestResult(
-        method="efron" if config.scheme.kind == EFRON else "wild",
-        statistic=prep.statistic,
-        variance=prep.variance,
-        studentized=stud,
-        critical_value=crit,
-        p_value=p,
-        reject=stud > crit,
-        alpha=config.alpha,
-        interval=(prep.pooled.t1, prep.pooled.t2),
-        truncated=prep.pooled.truncated,
-        warning=prep.pooled.warning,
-        vn_zero=prep.vn_zero,
+    return _result(
+        prep, config, "efron" if config.scheme.kind == EFRON else "wild",
+        crit, p,
         B=config.B,
         scheme=config.scheme.kind,
         degenerate_replicates=block.degenerate,

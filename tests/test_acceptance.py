@@ -34,7 +34,7 @@ import scipy.stats
 import cifboot as cb
 from cifboot import twosample
 from cifboot.cli import main
-from cifboot.resampling import WILD_NORMAL, build_z, multinomial_counts
+from cifboot.resampling import EFRON, WILD_NORMAL, build_z, draw_weights
 from cifboot.rng import substream
 from cifboot.simulation import (ConstantPair, Group1Exp, PiecewiseConstant,
                                 ScenarioConfig, draw_panel, run_scenario)
@@ -99,15 +99,16 @@ TABLE2_TARGETS = {
 PUBLISHED_NSIM = 1000
 
 # quadrature oracles for the covariance criterion (group-1 law, no
-# censoring); the weighted-bootstrap limit subtracts the rank-one xi term
+# censoring); the weighted-bootstrap limit 2 zeta(s,t) - xi(s) xi(t)
+# subtracts the rank-one xi term from twice the wild limit
 XI_075 = 0.27789127001855374
 XI_150 = 0.274893534183932
 ZETA = {(0.75, 0.75): 0.237553232908034,
         (0.75, 1.5): 0.20388697792029797,
         (1.5, 1.5): 0.24938031195583346}
-WEIGHTED_COV = {(0.75, 0.75): 0.3978829078635433,
-                (0.75, 1.5): 0.3313834425063344,
-                (1.5, 1.5): 0.42319416877553434}
+WEIGHTED_COV = {(0.75, 0.75): 2.0 * ZETA[(0.75, 0.75)] - XI_075 * XI_075,
+                (0.75, 1.5): 2.0 * ZETA[(0.75, 1.5)] - XI_075 * XI_150,
+                (1.5, 1.5): 2.0 * ZETA[(1.5, 1.5)] - XI_150 * XI_150}
 
 
 def _null_config(n1, n2, rates, n_sim, seed):
@@ -325,7 +326,7 @@ def test_criterion_5_covariance_limits():
     done = 0
     while done < B:
         take = min(500, B - done)
-        counts = multinomial_counts(rng_w, m, size=take).astype(float)
+        counts = draw_weights(cb.WeightScheme(EFRON), take, m, rng_w) + 1.0
         w = counts - 1.0
         w -= w.mean(axis=1, keepdims=True)
         wstar[done:done + take] = math.sqrt(m) * (w @ zvals)
@@ -347,10 +348,11 @@ def test_criterion_5_covariance_limits():
                      f"wild {got_g:.4f}/{want_g:.4f}")
         assert abs(got_w - want_w) / want_w <= 0.10, lines[-1]
         assert abs(got_g - want_g) / want_g <= 0.10, lines[-1]
+        # the two limits must be genuinely different: the weighted
+        # bootstrap sits the rank-one xi correction below twice the wild
+        # limit, and its covariance must be nearer the corrected value
+        assert abs(got_w - want_w) < abs(got_w - 2.0 * want_g), lines[-1]
 
-    # the two limits must be genuinely different: the weighted bootstrap
-    # sits the rank-one xi correction below twice the wild limit
-    assert XI_150**2 > 0.0
     assert cov_w[1, 1] < 2.0 * ZETA[(1.5, 1.5)]
     print("criterion 5: PASS - " + "; ".join(lines))
 
@@ -370,7 +372,7 @@ def test_criterion_6_weight_moment_identities():
         done = 0
         while done < draws:
             take = min(100_000, draws - done)
-            counts = multinomial_counts(rng, m, size=take)[:, :4].astype(float)
+            counts = (draw_weights(cb.WeightScheme(EFRON), take, m, rng) + 1.0)[:, :4]
             pair = counts[:, 0] * counts[:, 1]
             quad = np.prod(counts - 1.0, axis=1)
             for k, v in enumerate((pair, quad)):

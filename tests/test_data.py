@@ -38,6 +38,52 @@ def test_compile_empty_sample_rejected():
         cb.compile_panel_arrays(np.array([]), np.array([]), np.array([]))
 
 
+def arrays_with(row, entry=None, exit_=None, status=None):
+    """Three valid rows, with one field of ``row`` replaced."""
+    e, x, s = np.zeros(3), np.array([1.0, 2.0, 3.0]), np.array([1, 2, 0])
+    e[row] = e[row] if entry is None else entry
+    x[row] = x[row] if exit_ is None else exit_
+    s[row] = s[row] if status is None else status
+    return e, x, s
+
+
+def test_compile_arrays_rejects_unknown_status():
+    with pytest.raises(cb.DataError, match="row 1: status must be 0, 1 or 2"):
+        cb.compile_panel_arrays(*arrays_with(1, status=3))
+
+
+def test_compile_arrays_rejects_non_finite_times():
+    with pytest.raises(cb.DataError, match="row 2: times must be finite"):
+        cb.compile_panel_arrays(*arrays_with(2, exit_=np.nan))
+    with pytest.raises(cb.DataError, match="row 0: times must be finite"):
+        cb.compile_panel_arrays(*arrays_with(0, entry=-np.inf))
+
+
+def test_compile_arrays_rejects_bad_entry_and_exit():
+    with pytest.raises(cb.DataError, match="row 1: exit must be strictly later"):
+        cb.compile_panel_arrays(*arrays_with(1, entry=2.5))
+    with pytest.raises(cb.DataError, match="row 0: exit must be strictly later"):
+        cb.compile_panel_arrays(*arrays_with(0, entry=1.0))
+    with pytest.raises(cb.DataError, match="row 2: entry time must be >= 0"):
+        cb.compile_panel_arrays(*arrays_with(2, entry=-0.5))
+
+
+def test_compile_arrays_reports_first_bad_row():
+    e, x, s = arrays_with(2, status=7)
+    x[1] = np.nan
+    with pytest.raises(cb.DataError, match="row 1: times must be finite"):
+        cb.compile_panel_arrays(e, x, s)
+
+
+def test_compile_arrays_rejects_mismatched_shapes():
+    with pytest.raises(cb.DataError, match="one length"):
+        cb.compile_panel_arrays(np.zeros(2), np.array([1.0, 2.0, 3.0]),
+                                np.array([1, 2, 0]))
+    with pytest.raises(cb.DataError, match="1-d"):
+        cb.compile_panel_arrays(np.zeros((3, 1)), np.array([1.0, 2.0, 3.0]),
+                                np.array([1, 2, 0]))
+
+
 def test_compile_basic_panel():
     # three subjects, one exit each: cause 1 at t=1, cause 2 at t=2, cause 1 at t=3
     panel = build_panel([(0, 2, 1), (0, 4, 2), (0, 6, 1)])

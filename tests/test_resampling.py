@@ -7,13 +7,30 @@ from hypothesis import given, settings
 import cifboot as cb
 from cifboot.resampling import (BAYESIAN, EFRON, IID_WEIGHTED, WILD_CUSTOM,
                                 WILD_NORMAL, WILD_POISSON, build_z,
-                                gen_weights, multinomial_counts,
-                                scheme_from_name, weighted_process,
-                                wild_process)
+                                draw_weights, scheme_from_name,
+                                weighted_process, wild_process)
 
 from conftest import build_panel, brute_from_panel, event_subjects, jumps_from_subs
 
 HAND = [(0, 2, 1), (0, 4, 2), (0, 6, 1)]
+
+ALL_SCHEMES = (
+    cb.WeightScheme(EFRON),
+    cb.WeightScheme(WILD_NORMAL),
+    cb.WeightScheme(WILD_POISSON),
+    cb.WeightScheme(BAYESIAN),
+    cb.WeightScheme(WILD_CUSTOM, sampler=lambda rng, m: rng.uniform(-1.5, 1.5, m)),
+    cb.WeightScheme(IID_WEIGHTED, eta_sampler=lambda rng, m: rng.gamma(2.0, size=m),
+                    mu_eta=2.0, sigma_eta=np.sqrt(2.0)),
+)
+
+
+def one_row(scheme, m, rng):
+    return draw_weights(scheme, 1, m, rng)[0]
+
+
+def counts(rng, m, rows):
+    return draw_weights(cb.WeightScheme(EFRON), rows, m, rng) + 1.0
 
 
 def brute_z_values(bt, jumps, s):
@@ -61,30 +78,32 @@ def test_scheme_from_name():
 def test_multinomial_counts_single():
     rng = np.random.default_rng(5)
     for m in (1, 2, 7):
-        counts = multinomial_counts(rng, m)
-        assert counts.shape == (m,)
-        assert counts.sum() == m
-        assert counts.min() >= 0
+        c = counts(rng, m, 1)
+        assert c.shape == (1, m)
+        assert c.sum() == m
+        assert c.min() >= 0
 
 
-def test_multinomial_counts_batched_matches_sequential():
-    m, size = 6, 40
-    batched = multinomial_counts(np.random.default_rng(11), m, size=size)
-    sequential = np.stack([multinomial_counts(np.random.default_rng(11), m)
-                           for _ in range(1)])
-    # same generator state: the first batched row equals the first single draw
-    np.testing.assert_array_equal(batched[0], sequential[0])
-    assert batched.shape == (size, m)
-    np.testing.assert_array_equal(batched.sum(axis=1), m)
+def test_draw_weights_block_matches_row_by_row():
+    # a block is the stack of one-row draws, bit for bit, and leaves the
+    # generator where the one-row draws leave it, so chunking is invisible
+    m, rows = 7, 40
+    for scheme in ALL_SCHEMES:
+        rng_block, rng_rows = np.random.default_rng(11), np.random.default_rng(11)
+        block = draw_weights(scheme, rows, m, rng_block)
+        stacked = np.stack([one_row(scheme, m, rng_rows) for _ in range(rows)])
+        assert block.shape == (rows, m), scheme.kind
+        np.testing.assert_array_equal(block, stacked, err_msg=scheme.kind)
+        assert rng_block.bit_generator.state == rng_rows.bit_generator.state
 
 
 def test_multinomial_cross_moments_small_m():
     # m=4: E[M1 M2] = 1 - 1/m = 3/4 and E[prod (Mi - 1)] = 3/32
     rng = np.random.default_rng(2024)
     draws = 200_000
-    counts = multinomial_counts(rng, 4, size=draws).astype(float)
-    pair = counts[:, 0] * counts[:, 1]
-    quad = np.prod(counts - 1.0, axis=1)
+    c = counts(rng, 4, draws)
+    pair = c[:, 0] * c[:, 1]
+    quad = np.prod(c - 1.0, axis=1)
     for sample, target in ((pair, 0.75), (quad, 3 / 32)):
         se = sample.std(ddof=1) / np.sqrt(draws)
         assert abs(sample.mean() - target) < 5 * se
@@ -94,7 +113,7 @@ def test_efron_weights_sum_to_zero_exactly():
     rng = np.random.default_rng(0)
     scheme = cb.WeightScheme(EFRON)
     for m in (2, 5, 64):
-        w = gen_weights(scheme, m, rng)
+        w = one_row(scheme, m, rng)
         assert w.sum() == 0.0
         assert w.min() >= -1.0
         assert np.all(w == np.round(w))
@@ -102,11 +121,11 @@ def test_efron_weights_sum_to_zero_exactly():
 
 def test_wild_weights_basic():
     rng = np.random.default_rng(1)
-    w = gen_weights(cb.WeightScheme(WILD_NORMAL), 50_000, rng)
+    w = one_row(cb.WeightScheme(WILD_NORMAL), 50_000, rng)
     assert abs(w.mean()) < 0.02
     assert abs(w.var() - 1.0) < 0.03
 
-    w = gen_weights(cb.WeightScheme(WILD_POISSON), 50_000, rng)
+    w = one_row(cb.WeightScheme(WILD_POISSON), 50_000, rng)
     assert w.min() >= -1.0
     assert np.all(w == np.round(w))
     assert abs(w.mean()) < 0.02
@@ -115,16 +134,16 @@ def test_wild_weights_basic():
 def test_custom_sampler_used_and_checked():
     scheme = cb.WeightScheme(WILD_CUSTOM,
                              sampler=lambda rng, m: np.full(m, 0.0))
-    w = gen_weights(scheme, 4, np.random.default_rng(0))
+    w = one_row(scheme, 4, np.random.default_rng(0))
     np.testing.assert_array_equal(w, 0.0)
 
     bad = cb.WeightScheme(WILD_CUSTOM, sampler=lambda rng, m: np.zeros(m + 1))
     with pytest.raises(cb.DataError, match="shape"):
-        gen_weights(bad, 4, np.random.default_rng(0))
+        one_row(bad, 4, np.random.default_rng(0))
 
 
 def test_bayesian_weights_centered():
-    w = gen_weights(cb.WeightScheme(BAYESIAN), 1000, np.random.default_rng(3))
+    w = one_row(cb.WeightScheme(BAYESIAN), 1000, np.random.default_rng(3))
     assert w.min() > -1.0  # eta positive, so eta/etabar > 0
     assert abs(w.sum()) < 1e-9
 
@@ -133,19 +152,19 @@ def test_iid_weighted_scaling_and_positivity():
     scheme = cb.WeightScheme(IID_WEIGHTED,
                              eta_sampler=lambda rng, m: rng.standard_exponential(m),
                              mu_eta=1.0, sigma_eta=1.0)
-    w = gen_weights(scheme, 2000, np.random.default_rng(7))
+    w = one_row(scheme, 2000, np.random.default_rng(7))
     assert abs(w.mean()) < 1e-9
     assert 0.8 < w.var() < 1.25
 
     neg = cb.WeightScheme(IID_WEIGHTED, eta_sampler=lambda rng, m: np.full(m, -1.0),
                           mu_eta=1.0, sigma_eta=1.0)
     with pytest.raises(cb.DataError, match="positive"):
-        gen_weights(neg, 8, np.random.default_rng(0))
+        one_row(neg, 8, np.random.default_rng(0))
 
 
 def test_gen_weights_rejects_empty():
-    with pytest.raises(cb.DataError):
-        gen_weights(cb.WeightScheme(EFRON), 0, np.random.default_rng(0))
+    with pytest.raises(cb.DataError, match=">= 1"):
+        draw_weights(cb.WeightScheme(EFRON), 3, 0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- Z array
@@ -223,7 +242,7 @@ def test_weighted_process_matches_entry_sum():
     panel = build_panel(HAND)
     z = build_z(panel)
     rng = np.random.default_rng(42)
-    w = multinomial_counts(rng, 6).astype(float) - 1.0
+    w = one_row(cb.WeightScheme(EFRON), 6, rng)
     grid = np.array([1.0, 1.5, 3.0])
     draw = weighted_process(z, w, grid)
     c = w - w.mean()
@@ -236,10 +255,10 @@ def test_weighted_process_centering_absorbs_shift():
     panel = build_panel(HAND)
     z = build_z(panel)
     rng = np.random.default_rng(9)
-    counts = multinomial_counts(rng, 6).astype(float)
+    c = counts(rng, 6, 1)[0]
     grid = np.array([1.0, 2.0, 3.0])
-    a = weighted_process(z, counts, grid)
-    b = weighted_process(z, counts - 1.0, grid)
+    a = weighted_process(z, c, grid)
+    b = weighted_process(z, c - 1.0, grid)
     np.testing.assert_array_equal(a.values, b.values)
 
 

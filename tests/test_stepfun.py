@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cifboot.stepfun import (CONSTANT_ONE, CovarianceSurface, StepFunction,
-                             integrate_product, merge_breakpoints)
+from cifboot.stepfun import CONSTANT_ONE, CovarianceSurface, StepFunction
 
 
 def make(jumps, values, initial=0.0):
@@ -67,23 +66,6 @@ def test_breakpoints_in_is_exclusive():
     np.testing.assert_array_equal(f.breakpoints_in(1.0, 3.0), [2.0])
     np.testing.assert_array_equal(f.breakpoints_in(0.0, 4.0), [1.0, 2.0, 3.0])
     assert f.breakpoints_in(1.0, 1.0).size == 0
-
-
-def test_merge_breakpoints():
-    f = make([1.0, 3.0], [1.0, 2.0])
-    g = make([2.0], [5.0])
-    np.testing.assert_array_equal(merge_breakpoints(0.0, 4.0, f, g),
-                                  [0.0, 1.0, 2.0, 3.0, 4.0])
-    # endpoints inside a jump cluster are deduplicated
-    np.testing.assert_array_equal(merge_breakpoints(1.0, 3.0, f, g),
-                                  [1.0, 2.0, 3.0])
-
-
-def test_integrate_product_hand_value():
-    f = make([1.0], [2.0], initial=1.0)
-    g = make([2.0], [3.0], initial=1.0)
-    # f*g = 1 on [0,1), 2 on [1,2), 6 on [2,4)
-    assert integrate_product(f, g, 0.0, 4.0) == 15.0
 
 
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=8, unique=True),

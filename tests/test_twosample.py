@@ -7,6 +7,7 @@ panels, and the large-sample limits are checked against numerical
 quadrature of the population covariances.
 """
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cifboot as cb
-from cifboot import twosample
-from cifboot.resampling import EFRON, WILD_NORMAL, WILD_POISSON, build_z
+from cifboot import resampling, twosample
+from cifboot.resampling import (BAYESIAN, EFRON, WILD_NORMAL, WILD_POISSON,
+                                build_z)
 
 import oracles
 from conftest import (build_panel, brute_from_panel, event_subjects,
@@ -342,12 +344,55 @@ def test_replicate_block_chunking_is_invisible(monkeypatch):
         scheme = cb.WeightScheme(kind)
         big = twosample.replicate_block(pooled, scheme, 64,
                                         np.random.default_rng(3))
-        monkeypatch.setattr(twosample, "_CHUNK_ELEMS", 16)
+        monkeypatch.setattr(resampling, "_CHUNK_ELEMS", 16)
         small = twosample.replicate_block(pooled, scheme, 64,
                                           np.random.default_rng(3))
         monkeypatch.undo()
         np.testing.assert_array_equal(big.studentized, small.studentized)
         assert big.degenerate == small.degenerate
+        assert big.truncated == small.truncated
+    # the moment validator draws through the same chunks
+    for kind in (EFRON, WILD_NORMAL, BAYESIAN):
+        scheme = cb.WeightScheme(kind)
+        big = cb.validate_weight_conditions(scheme, 8, 10_000,
+                                            np.random.default_rng(4))
+        monkeypatch.setattr(resampling, "_CHUNK_ELEMS", 24)
+        small = cb.validate_weight_conditions(scheme, 8, 10_000,
+                                              np.random.default_rng(4))
+        monkeypatch.undo()
+        assert big == small
+
+
+def test_one_vector_forms_are_rows_of_the_block():
+    # bootstrap_statistic/bootstrap_variance on each drawn weight row give
+    # the T*/V* behind replicate_block's studentized values and counts
+    # the sparse second pair leaves about a third of the replicates degenerate
+    pairs = (([(0, 1, 1), (0, 2, 1), (0, 3, 2), (0, 8, 0)],
+              [(0, 2, 2), (0, 3, 1), (0, 10, 0)], 4.0),
+             ([(0, 2, 1), (0, 8, 0)], [(0, 4, 2), (0, 10, 0)], 3.0))
+    B = 300
+    for (sub1, sub2, t2), kind in itertools.product(
+            pairs, (EFRON, WILD_NORMAL, WILD_POISSON)):
+        pooled = twosample.pooled_z(build_panel(sub1), build_panel(sub2),
+                                    cb.TestConfig(t2=t2))
+        scheme = cb.WeightScheme(kind)
+        w = cb.draw_weights(scheme, B, pooled.size, np.random.default_rng(21))
+        block = twosample.replicate_block(pooled, scheme, B,
+                                          np.random.default_rng(21))
+        efron = kind == EFRON
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            t = np.array([cb.bootstrap_statistic(pooled, row, centered=efron)
+                          for row in w])
+            v = np.array([cb.bootstrap_variance(
+                pooled, row + 1.0 if efron else row * row, include_xi=efron)
+                for row in w])
+        assert len(caught) == block.truncated
+        positive = v > 0
+        assert block.degenerate == B - np.count_nonzero(positive)
+        want = np.where(positive, t / np.sqrt(np.where(positive, v, 1.0)), 0.0)
+        np.testing.assert_allclose(block.studentized, want, rtol=1e-12,
+                                   atol=1e-12)
 
 
 def test_critical_rank_convention():
@@ -416,7 +461,7 @@ def test_efron_variance_approaches_tilde_population_value():
 
     m = pooled.size
     k2 = pooled.kappa**2
-    counts = cb.multinomial_counts(rng, m, size=4000).astype(float)
+    counts = cb.draw_weights(cb.WeightScheme(EFRON), 4000, m, rng) + 1.0
     i = pooled.integrals
     vstar = k2 * (counts @ (i * i)) - k2 / m * (counts @ i)**2
     tstar = pooled.kappa * ((counts - 1.0) @ i)
