@@ -25,10 +25,10 @@ from .simulation import (ConstantPair, Group1Exp, HazardModel,
                          table_suite)
 from .stepfun import CONSTANT_ONE, CovarianceSurface, StepFunction
 from .twosample import (NumericalError, PooledZ, PreparedTest, ReplicateBlock,
-                        TestConfig, TestResult, bootstrap_statistic,
-                        bootstrap_variance, critical_rank, effective_window,
-                        integral_statistic, pooled_z, prepare_test,
-                        replicate_block, test_phi_n, test_phi_star,
-                        variance_vn)
+                        TestConfig, TestResult, bootstrap_critical_value,
+                        bootstrap_statistic, bootstrap_variance, critical_rank,
+                        effective_window, integral_statistic, pooled_z,
+                        prepare_test, replicate_block, test_phi_n,
+                        test_phi_star, variance_vn)
 
 __version__ = "0.1.0"

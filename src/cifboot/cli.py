@@ -372,6 +372,9 @@ def cmd_simulate(res: Resolver) -> int:
             "B": cf.B,
             "seed": cf.seed,
             "counts": {m: rep.count(m) for m in (PHI_N, PHI_W, PHI_E)},
+            "degenerate_replicates": {PHI_W: rep.degenerate_phi_w,
+                                      PHI_E: rep.degenerate_phi_e},
+            "truncated_variances": {PHI_E: rep.truncated_phi_e},
             "rates": {m: rep.rate(m) for m in (PHI_N, PHI_W, PHI_E)},
             "mc_se": {m: rep.mc_se(m) for m in (PHI_N, PHI_W, PHI_E)},
             "error_count": rep.error_count,

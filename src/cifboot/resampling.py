@@ -77,6 +77,12 @@ def scheme_from_name(name: str) -> WeightScheme:
 _CHUNK_ELEMS = 1 << 22
 
 
+def efron_labels(rows: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """(rows, m) uniform labels in 0..m-1; a row's tallies are its
+    Multinomial(m, 1/m) counts."""
+    return rng.integers(0, m, size=(rows, m))
+
+
 def draw_weights(scheme: WeightScheme, rows: int, m: int,
                  rng: np.random.Generator) -> np.ndarray:
     """A (rows, m) block of weight vectors, one per row, for the given scheme.
@@ -87,9 +93,8 @@ def draw_weights(scheme: WeightScheme, rows: int, m: int,
     if m < 1:
         raise DataError(f"weight vector length must be >= 1, got {m}")
     if scheme.kind == EFRON:
-        # Multinomial(m, 1/m) counts as tallies of m uniform category labels
-        # per row: O(m) per row, no sequential binomial splitting
-        labels = rng.integers(0, m, size=(rows, m)) + m * np.arange(rows)[:, None]
+        # tallies of the labels: O(m) per row, no binomial splitting
+        labels = efron_labels(rows, m, rng) + m * np.arange(rows)[:, None]
         counts = np.bincount(labels.ravel(), minlength=rows * m)
         return counts.reshape(rows, m) - 1.0
     if scheme.kind == WILD_NORMAL:
@@ -115,13 +120,12 @@ def draw_weights(scheme: WeightScheme, rows: int, m: int,
     return (w / w.mean(axis=1, keepdims=True) - 1.0) / c_eta
 
 
-def weight_chunks(scheme: WeightScheme, rows: int, m: int,
-                  rng: np.random.Generator):
-    """Yield (row slice, weight block) pairs covering ``rows`` weight rows."""
+def row_chunks(rows: int, m: int):
+    """Yield (row slice, row count) pairs covering ``rows`` m-wide rows."""
     chunk = max(1, _CHUNK_ELEMS // m)
     for start in range(0, rows, chunk):
         take = min(chunk, rows - start)
-        yield slice(start, start + take), draw_weights(scheme, take, m, rng)
+        yield slice(start, start + take), take
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +249,8 @@ def validate_weight_conditions(scheme: WeightScheme, m: int, draws: int,
     per_draw = {name: np.empty(draws) for name in
                 ("max_scaled", "variance", "fourth", "cross_g6", "cross_g7")}
 
-    for sl, w in weight_chunks(scheme, draws, m, rng):
+    for sl, take in row_chunks(draws, m):
+        w = draw_weights(scheme, take, m, rng)
         c = w - w.mean(axis=1, keepdims=True)
         s2 = np.sum(c**2, axis=1)
         s4 = np.sum(c**4, axis=1)

@@ -24,7 +24,8 @@ from .data import CountingProcessPanel, DataError, Observation, Status, \
     compile_panel_arrays
 from .resampling import EFRON, WILD_NORMAL, WeightScheme
 from .rng import substream
-from .twosample import TestConfig, critical_rank, prepare_test, replicate_block
+from .twosample import TestConfig, bootstrap_critical_value, prepare_test, \
+    replicate_block
 
 PHI_N = "phi_n"
 PHI_W = "phi_W"
@@ -229,8 +230,10 @@ class MonteCarloReport:
 
     ``error_count`` tallies datasets where a test was undefined (degenerate
     window or an all-degenerate bootstrap); those datasets count as
-    non-rejections.  ``runtime`` is wall-clock seconds and is the one field
-    excluded from reproducibility comparisons.
+    non-rejections.  ``degenerate_*`` and ``truncated_phi_e`` sum the
+    replicate diagnostics (:class:`ReplicateBlock`) over all datasets.
+    ``runtime`` is wall-clock seconds and is the one field excluded from
+    reproducibility comparisons.
     """
 
     config: ScenarioConfig
@@ -239,6 +242,9 @@ class MonteCarloReport:
     reject_phi_w: int
     reject_phi_e: int
     error_count: int
+    degenerate_phi_e: int
+    degenerate_phi_w: int
+    truncated_phi_e: int
     runtime: float = field(compare=False)
 
     def count(self, method: str) -> int:
@@ -258,16 +264,16 @@ class MonteCarloReport:
 
 
 def _run_range(config: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
-    """Run replicates lo..hi-1; return counts (phi_n, phi_W, phi_E, errors)."""
+    """Run replicates lo..hi-1; return counts (phi_n, phi_W, phi_E, errors)
+    and replicate diagnostics (degenerate Efron, wild; truncated Efron)."""
     t1, t2 = config.interval
     tconf = TestConfig(t1=t1, t2=t2, alpha=config.alpha, B=config.B)
     efron = WeightScheme(EFRON)
     wild = WeightScheme(WILD_NORMAL)
     normal_crit = NormalDist().inv_cdf(1.0 - config.alpha)
-    rank = critical_rank(config.alpha, config.B)
     l1, l2 = config.censor_rates
     sid = config.scenario_id
-    counts = np.zeros(4, dtype=np.int64)
+    counts = np.zeros(7, dtype=np.int64)
 
     for r in range(lo, hi):
         rng_data = substream(config.seed, sid, r, "data")
@@ -285,15 +291,12 @@ def _run_range(config: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
         # Efron first, then wild, off the shared per-dataset weight stream
         eblock = replicate_block(prep.pooled, efron, config.B, rng_weights)
         wblock = replicate_block(prep.pooled, wild, config.B, rng_weights)
-        failed = False
+        counts[4:] += eblock.degenerate, wblock.degenerate, eblock.truncated
         for slot, block in ((2, eblock), (1, wblock)):
-            if block.degenerate == config.B:
-                failed = True
-                continue
-            if rank <= config.B:
-                crit = np.partition(block.studentized, rank - 1)[rank - 1]
-                counts[slot] += stud > crit
-        counts[3] += failed
+            if block.degenerate < config.B:
+                counts[slot] += stud > bootstrap_critical_value(
+                    block.studentized, config.alpha)
+        counts[3] += config.B in (eblock.degenerate, wblock.degenerate)
 
     return counts
 
@@ -326,6 +329,8 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloReport:
         reject_phi_w=int(counts[1]),
         reject_phi_e=int(counts[2]),
         error_count=int(counts[3]),
+        degenerate_phi_e=int(counts[4]), degenerate_phi_w=int(counts[5]),
+        truncated_phi_e=int(counts[6]),
         runtime=time.perf_counter() - start,
     )
 

@@ -29,7 +29,7 @@ import numpy as np
 from .data import CountingProcessPanel, DataError
 from .estimators import PluginTables, jump_table, plugin_tables
 from .resampling import (BAYESIAN, EFRON, IID_WEIGHTED, WeightScheme,
-                         weight_chunks)
+                         draw_weights, efron_labels, row_chunks)
 from .stepfun import CONSTANT_ONE, StepFunction
 
 _NORMAL = NormalDist()
@@ -336,21 +336,19 @@ def _result(prep: PreparedTest, config: TestConfig, method: str,
     )
 
 
-def _replicate_kernel(pooled: PooledZ, w: np.ndarray, v: np.ndarray,
-                      include_xi: bool):
-    """T* and V*^2 for weight vectors w and v-weight vectors v (rows of a
-    block, or single vectors).
+def _replicate_kernel(pooled: PooledZ, wi, vi2, vi=None):
+    """T* and V*^2 from wi = w.I, vi2 = v.I^2 and, for the correction term,
+    vi = v.I, with w and v rows of a weight block or single vectors.
 
     T* = kappa w.I and V*^2 = kappa^2 v.I^2, less kappa^2 (v.I)^2 / m with
-    the correction term.  Negative V*^2 (possible only with the correction)
-    are clipped to 0 here and counted; the count is the third value.
+    the correction.  Negative V*^2 (possible only with the correction) are
+    clipped to 0 here and counted; the count is the third value.
     """
-    i = pooled.integrals
     k2 = pooled.kappa**2
-    tstar = pooled.kappa * (w @ i)
-    vstar = k2 * (v @ (i * i))
-    if include_xi:
-        vstar -= k2 / pooled.size * (v @ i)**2
+    tstar = pooled.kappa * wi
+    vstar = k2 * vi2
+    if vi is not None:
+        vstar = vstar - k2 / pooled.size * vi**2
     truncated = int(np.count_nonzero(vstar < 0))
     return tstar, np.maximum(vstar, 0.0), truncated
 
@@ -375,8 +373,7 @@ def bootstrap_statistic(z_pooled: PooledZ, weights,
     w = _vector(z_pooled, weights, "weights")
     if centered:
         w = w - w.mean()
-    # only T* is wanted; the V* the kernel forms from the same vector is dropped
-    tstar, _, _ = _replicate_kernel(z_pooled, w, w, include_xi=False)
+    tstar, _, _ = _replicate_kernel(z_pooled, w @ z_pooled.integrals, 0.0)
     return float(tstar)
 
 
@@ -393,7 +390,9 @@ def bootstrap_variance(z_pooled: PooledZ, v_weights,
     v = _vector(z_pooled, v_weights, "v-weights")
     if np.any(v < 0):
         raise DataError("v-weights must be nonnegative")
-    _, vstar, truncated = _replicate_kernel(z_pooled, v, v, include_xi)
+    i = z_pooled.integrals
+    _, vstar, truncated = _replicate_kernel(
+        z_pooled, 0.0, v @ (i * i), v @ i if include_xi else None)
     if truncated:
         warnings.warn("negative resampled variance truncated to 0",
                       RuntimeWarning, stacklevel=2)
@@ -413,12 +412,14 @@ def replicate_block(pooled: PooledZ, scheme: WeightScheme, B: int,
                     rng: np.random.Generator) -> ReplicateBlock:
     """Generate B studentized bootstrap replicates as vectorized blocks.
 
-    Efron draws multinomial count vectors (w = counts - 1, whose mean is
-    exactly 0, and v = counts with the correction term); wild schemes draw
-    iid multipliers (uncentered, v = G^2, no correction).  Replicates whose
-    variance is not positive get studentized value 0 and are counted as
-    degenerate; negative Efron variances are clipped to 0 first and counted
-    as truncated.
+    Efron draws m multinomial labels per replicate (w = counts - 1, whose
+    mean is exactly 0, and v = counts with the correction term), and the
+    count-weighted sums are sums of I and I^2 at the labels.  Wild schemes
+    draw iid multipliers (uncentered, v = G^2, no correction) only for the
+    entries with a nonzero integral; the others add nothing to T* or V*.
+    Replicates whose variance is not positive get studentized value 0 and
+    are counted as degenerate; negative Efron variances are clipped to 0
+    first and counted as truncated.
 
     The iid-weighted and Bayesian schemes are refused: Efron's V* needs
     v = w + 1 >= 0, which iid-weighted weights do not guarantee, and no
@@ -427,14 +428,26 @@ def replicate_block(pooled: PooledZ, scheme: WeightScheme, B: int,
     if scheme.kind in (IID_WEIGHTED, BAYESIAN):
         raise DataError("the two-sample bootstrap test supports the efron "
                         "and wild schemes only")
-    efron = scheme.kind == EFRON
-    tstar = np.empty(B)
-    vstar = np.empty(B)
+    i = pooled.integrals
+    tstar, vstar = np.zeros(B), np.zeros(B)
     truncated = 0
-    for sl, w in weight_chunks(scheme, B, pooled.size, rng):
-        tstar[sl], vstar[sl], clipped = _replicate_kernel(
-            pooled, w, w + 1.0 if efron else w * w, include_xi=efron)
-        truncated += clipped
+    if scheme.kind == EFRON:
+        total = i.sum()
+        for sl, take in row_chunks(B, pooled.size):
+            g = i[efron_labels(take, pooled.size, rng)]
+            s1 = g.sum(axis=1)
+            tstar[sl], vstar[sl], clipped = _replicate_kernel(
+                pooled, s1 - total, np.square(g, out=g).sum(axis=1), s1)
+            truncated += clipped
+    else:
+        inz = i[i != 0.0]  # when empty, nothing is drawn: all degenerate
+        if inz.size:
+            for sl, take in row_chunks(B, inz.size):
+                g = draw_weights(scheme, take, inz.size, rng)
+                wi = g @ inz
+                np.square(g, out=g)
+                tstar[sl], vstar[sl], _ = _replicate_kernel(
+                    pooled, wi, g @ (inz * inz))
 
     positive = vstar > 0
     degenerate = int(B - np.count_nonzero(positive))
@@ -448,6 +461,15 @@ def replicate_block(pooled: PooledZ, scheme: WeightScheme, B: int,
 def critical_rank(alpha: float, B: int) -> int:
     """Order-statistic rank of the bootstrap critical value."""
     return math.ceil((1.0 - alpha) * (B + 1))
+
+
+def bootstrap_critical_value(replicates: np.ndarray, alpha: float) -> float:
+    """The rank-ceil((1 - alpha)(B + 1)) order statistic of B replicates,
+    or +inf when that rank exceeds B."""
+    rank = critical_rank(alpha, replicates.size)
+    if rank > replicates.size:
+        return math.inf
+    return float(np.partition(replicates, rank - 1)[rank - 1])
 
 
 def test_phi_star(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
@@ -470,15 +492,10 @@ def test_phi_star(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
             f"the data carry no events inside the window")
 
     stud = prep.studentized
-    rank = critical_rank(config.alpha, config.B)
-    if rank > config.B:
-        crit = math.inf
-    else:
-        crit = float(np.sort(block.studentized)[rank - 1])
     p = (1 + int(np.count_nonzero(block.studentized >= stud))) / (config.B + 1)
     return _result(
         prep, config, "efron" if config.scheme.kind == EFRON else "wild",
-        crit, p,
+        bootstrap_critical_value(block.studentized, config.alpha), p,
         B=config.B,
         scheme=config.scheme.kind,
         degenerate_replicates=block.degenerate,

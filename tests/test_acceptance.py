@@ -397,7 +397,6 @@ def test_criterion_7_null_pivotality():
     config = cb.TestConfig(t1=0.0, t2=1.5, alpha=0.05, B=999)
     scheme = cb.WeightScheme(WILD_NORMAL)
     normal_crit = scipy.stats.norm.ppf(0.95)
-    rank = twosample.critical_rank(0.05, 999)
 
     studs = np.empty(2000)
     disagreements = 0
@@ -410,7 +409,7 @@ def test_criterion_7_null_pivotality():
         if r < 1000:
             rng_w = substream(seed, "acceptance;pivotal", r, "weights")
             block = twosample.replicate_block(prep.pooled, scheme, 999, rng_w)
-            crit = np.partition(block.studentized, rank - 1)[rank - 1]
+            crit = twosample.bootstrap_critical_value(block.studentized, 0.05)
             if (prep.studentized > normal_crit) != (prep.studentized > crit):
                 disagreements += 1
 

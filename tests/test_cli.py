@@ -283,6 +283,8 @@ def test_cli_simulate_table1_cell(tmp_path):
     cell = suite["cells"][0]
     assert cell["n_sim"] == 6 and cell["B"] == 19 and cell["seed"] == 4
     assert set(cell["counts"]) == {"phi_n", "phi_W", "phi_E"}
+    assert set(cell["degenerate_replicates"]) == {"phi_W", "phi_E"}
+    assert set(cell["truncated_variances"]) == {"phi_E"}
     man = json.loads((outs[0] / "manifest.json").read_text())
     assert len(man["cell_runtimes_seconds"]) == 1
 

@@ -231,6 +231,20 @@ def test_error_datasets_counted_not_rejected():
     assert report.reject_phi_e + report.error_count <= 30
 
 
+def test_replicate_diagnostics_are_worker_invariant_sums():
+    # four heavily censored subjects per group: many Efron replicates, and
+    # every wild replicate of a dataset without an event in the window,
+    # have zero variance
+    config = fast_config(n1=4, n2=4, censor_rates=(2.0, 2.0), n_sim=24)
+    serial = run_scenario(config, workers=1)
+    parallel = run_scenario(config, workers=2)
+    assert serial == parallel
+    assert serial.degenerate_phi_e > 0 and serial.degenerate_phi_w > 0
+    parts = [_run_range(config, lo, hi) for lo, hi in ((0, 5), (5, 24))]
+    assert (serial.degenerate_phi_e, serial.degenerate_phi_w,
+            serial.truncated_phi_e) == tuple(sum(parts)[4:])
+
+
 def test_report_rates():
     report = run_scenario(fast_config(n_sim=20))
     assert report.rate(PHI_N) == report.reject_phi_n / 20

@@ -7,6 +7,7 @@ panels, and the large-sample limits are checked against numerical
 quadrature of the population covariances.
 """
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -18,8 +19,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cifboot as cb
 from cifboot import resampling, twosample
-from cifboot.resampling import (BAYESIAN, EFRON, WILD_NORMAL, WILD_POISSON,
-                                build_z)
+from cifboot.resampling import (BAYESIAN, EFRON, WILD_CUSTOM, WILD_NORMAL,
+                                WILD_POISSON, build_z)
 
 import oracles
 from conftest import (build_panel, brute_from_panel, event_subjects,
@@ -363,23 +364,95 @@ def test_replicate_block_chunking_is_invisible(monkeypatch):
         assert big == small
 
 
+# the sparse second pair leaves about a third of the Efron replicates
+# degenerate
+SPARSE_PAIRS = (([(0, 1, 1), (0, 2, 1), (0, 3, 2), (0, 8, 0)],
+                 [(0, 2, 2), (0, 3, 1), (0, 10, 0)], 4.0),
+                ([(0, 2, 1), (0, 8, 0)], [(0, 4, 2), (0, 10, 0)], 3.0))
+
+
+def _rademacher(rng, k):
+    return rng.choice([-1.0, 1.0], size=k)
+
+
+def _studentize(tstar, vstar):
+    positive = vstar > 0
+    return np.where(positive,
+                    tstar / np.sqrt(np.where(positive, vstar, 1.0)), 0.0)
+
+
+def test_replicate_block_draws_the_documented_streams():
+    # Efron: the labels of draw_weights' count form, on the same stream;
+    # wild: one multiplier per nonzero entry, draw_weights(scheme, B, k)
+    B = 300
+    schemes = (cb.WeightScheme(EFRON), cb.WeightScheme(WILD_NORMAL),
+               cb.WeightScheme(WILD_POISSON),
+               cb.WeightScheme(WILD_CUSTOM, sampler=_rademacher))
+    for (sub1, sub2, t2), scheme in itertools.product(SPARSE_PAIRS, schemes):
+        pooled = twosample.pooled_z(build_panel(sub1), build_panel(sub2),
+                                    cb.TestConfig(t2=t2))
+        i = pooled.integrals
+        k2 = pooled.kappa**2
+        rng_ref, rng_block = (np.random.default_rng(21) for _ in range(2))
+        block = twosample.replicate_block(pooled, scheme, B, rng_block)
+        if scheme.kind == EFRON:
+            counts = cb.draw_weights(scheme, B, pooled.size, rng_ref) + 1.0
+            tstar = pooled.kappa * ((counts - 1.0) @ i)
+            vstar = k2 * (counts @ (i * i)) - k2 / pooled.size * (counts @ i)**2
+            assert block.truncated == np.count_nonzero(vstar < 0)
+        else:
+            nz = i != 0.0
+            assert 0 < np.count_nonzero(nz) < pooled.size
+            g = cb.draw_weights(scheme, B, np.count_nonzero(nz), rng_ref)
+            tstar, vstar, _ = twosample._replicate_kernel(
+                pooled, g @ i[nz], (g * g) @ (i[nz] ** 2))
+            assert block.truncated == 0
+        vstar = np.maximum(vstar, 0.0)
+        assert block.degenerate == B - np.count_nonzero(vstar > 0)
+        np.testing.assert_allclose(block.studentized, _studentize(tstar, vstar),
+                                   rtol=1e-12, atol=1e-12)
+        assert (rng_block.bit_generator.state
+                == rng_ref.bit_generator.state)
+
+
+def test_replicate_block_without_nonzero_entries():
+    # every event lies past t2, so every pooled integral is 0: wild draws
+    # nothing, Efron draws as usual, and every replicate is degenerate
+    p1 = build_panel([(0, 5, 1), (0, 8, 0)])
+    p2 = build_panel([(0, 6, 2), (0, 10, 0)])
+    cfg = cb.TestConfig(t1=0.0, t2=2.0, B=19, seed=1)
+    pooled = twosample.pooled_z(p1, p2, cfg)
+    assert not np.any(pooled.integrals)
+    for kind in (EFRON, WILD_NORMAL):
+        rng = np.random.default_rng(5)
+        block = twosample.replicate_block(pooled, cb.WeightScheme(kind), 19, rng)
+        assert block.degenerate == 19
+        assert not np.any(block.studentized)
+        untouched = np.random.default_rng(5).bit_generator.state
+        assert (rng.bit_generator.state == untouched) == (kind == WILD_NORMAL)
+        with pytest.raises(cb.NumericalError, match="zero variance"):
+            cb.test_phi_star(p1, p2, dataclasses.replace(
+                cfg, scheme=cb.WeightScheme(kind)))
+
+
 def test_one_vector_forms_are_rows_of_the_block():
     # bootstrap_statistic/bootstrap_variance on each drawn weight row give
-    # the T*/V* behind replicate_block's studentized values and counts
-    # the sparse second pair leaves about a third of the replicates degenerate
-    pairs = (([(0, 1, 1), (0, 2, 1), (0, 3, 2), (0, 8, 0)],
-              [(0, 2, 2), (0, 3, 1), (0, 10, 0)], 4.0),
-             ([(0, 2, 1), (0, 8, 0)], [(0, 4, 2), (0, 10, 0)], 3.0))
+    # the T*/V* behind replicate_block's studentized values and counts;
+    # wild rows are drawn for the nonzero entries and scattered into 2n
     B = 300
     for (sub1, sub2, t2), kind in itertools.product(
-            pairs, (EFRON, WILD_NORMAL, WILD_POISSON)):
+            SPARSE_PAIRS, (EFRON, WILD_NORMAL, WILD_POISSON)):
         pooled = twosample.pooled_z(build_panel(sub1), build_panel(sub2),
                                     cb.TestConfig(t2=t2))
         scheme = cb.WeightScheme(kind)
-        w = cb.draw_weights(scheme, B, pooled.size, np.random.default_rng(21))
+        efron = kind == EFRON
+        nz = (np.arange(pooled.size) if efron
+              else np.flatnonzero(pooled.integrals))
+        w = np.zeros((B, pooled.size))
+        w[:, nz] = cb.draw_weights(scheme, B, nz.size,
+                                   np.random.default_rng(21))
         block = twosample.replicate_block(pooled, scheme, B,
                                           np.random.default_rng(21))
-        efron = kind == EFRON
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
             t = np.array([cb.bootstrap_statistic(pooled, row, centered=efron)
@@ -388,11 +461,9 @@ def test_one_vector_forms_are_rows_of_the_block():
                 pooled, row + 1.0 if efron else row * row, include_xi=efron)
                 for row in w])
         assert len(caught) == block.truncated
-        positive = v > 0
-        assert block.degenerate == B - np.count_nonzero(positive)
-        want = np.where(positive, t / np.sqrt(np.where(positive, v, 1.0)), 0.0)
-        np.testing.assert_allclose(block.studentized, want, rtol=1e-12,
-                                   atol=1e-12)
+        assert block.degenerate == B - np.count_nonzero(v > 0)
+        np.testing.assert_allclose(block.studentized, _studentize(t, v),
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_critical_rank_convention():
@@ -406,6 +477,18 @@ def test_critical_rank_convention():
     assert math.isinf(res.critical_value)
     assert not res.reject
     assert res.p_value >= 1 / 11
+
+
+def test_bootstrap_critical_value_is_the_rank_order_statistic():
+    values = np.random.default_rng(0).permutation(99).astype(float)
+    assert cb.bootstrap_critical_value(values, 0.05) == 94.0  # rank 95
+    assert cb.bootstrap_critical_value(values[:19], 0.05) == values[:19].max()
+    assert math.isinf(cb.bootstrap_critical_value(values[:10], 0.05))
+    p1 = build_panel(HAND + [(0, 8, 1), (0, 10, 0)])
+    p2 = build_panel([(0, 2, 2), (0, 6, 1), (0, 12, 0)])
+    res = cb.test_phi_star(p1, p2, cb.TestConfig(t2=4.0, B=99, seed=3),
+                           keep_replicates=True)
+    assert res.critical_value == np.sort(res.replicates)[94]
 
 
 def test_phi_star_is_deterministic_given_seed():
