@@ -375,6 +375,9 @@ def cmd_simulate(res: Resolver) -> int:
             "degenerate_replicates": {PHI_W: rep.degenerate_phi_w,
                                       PHI_E: rep.degenerate_phi_e},
             "truncated_variances": {PHI_E: rep.truncated_phi_e},
+            "degenerate_windows": rep.degenerate_windows,
+            "all_degenerate_datasets": {PHI_W: rep.all_degenerate_phi_w,
+                                        PHI_E: rep.all_degenerate_phi_e},
             "rates": {m: rep.rate(m) for m in (PHI_N, PHI_W, PHI_E)},
             "mc_se": {m: rep.mc_se(m) for m in (PHI_N, PHI_W, PHI_E)},
             "error_count": rep.error_count,

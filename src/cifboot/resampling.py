@@ -77,12 +77,6 @@ def scheme_from_name(name: str) -> WeightScheme:
 _CHUNK_ELEMS = 1 << 22
 
 
-def efron_labels(rows: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """(rows, m) uniform labels in 0..m-1; a row's tallies are its
-    Multinomial(m, 1/m) counts."""
-    return rng.integers(0, m, size=(rows, m))
-
-
 def draw_weights(scheme: WeightScheme, rows: int, m: int,
                  rng: np.random.Generator) -> np.ndarray:
     """A (rows, m) block of weight vectors, one per row, for the given scheme.
@@ -93,8 +87,10 @@ def draw_weights(scheme: WeightScheme, rows: int, m: int,
     if m < 1:
         raise DataError(f"weight vector length must be >= 1, got {m}")
     if scheme.kind == EFRON:
-        # tallies of the labels: O(m) per row, no binomial splitting
-        labels = efron_labels(rows, m, rng) + m * np.arange(rows)[:, None]
+        # a row's tallies of m uniform labels are its Multinomial(m, 1/m)
+        # counts: O(m) per row, no binomial splitting
+        labels = (rng.integers(0, m, size=(rows, m))
+                  + m * np.arange(rows)[:, None])
         counts = np.bincount(labels.ravel(), minlength=rows * m)
         return counts.reshape(rows, m) - 1.0
     if scheme.kind == WILD_NORMAL:

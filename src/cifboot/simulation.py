@@ -230,8 +230,11 @@ class MonteCarloReport:
 
     ``error_count`` tallies datasets where a test was undefined (degenerate
     window or an all-degenerate bootstrap); those datasets count as
-    non-rejections.  ``degenerate_*`` and ``truncated_phi_e`` sum the
-    replicate diagnostics (:class:`ReplicateBlock`) over all datasets.
+    non-rejections.  By cause, ``degenerate_windows`` counts the first kind
+    and ``all_degenerate_phi_e``/``_phi_w`` the datasets whose Efron or
+    wild replicates were all degenerate (a dataset can have both).
+    ``degenerate_*`` and ``truncated_phi_e`` sum the replicate diagnostics
+    (:class:`ReplicateBlock`) over all datasets.
     ``runtime`` is wall-clock seconds and is the one field excluded from
     reproducibility comparisons.
     """
@@ -245,6 +248,9 @@ class MonteCarloReport:
     degenerate_phi_e: int
     degenerate_phi_w: int
     truncated_phi_e: int
+    degenerate_windows: int
+    all_degenerate_phi_e: int
+    all_degenerate_phi_w: int
     runtime: float = field(compare=False)
 
     def count(self, method: str) -> int:
@@ -264,8 +270,9 @@ class MonteCarloReport:
 
 
 def _run_range(config: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
-    """Run replicates lo..hi-1; return counts (phi_n, phi_W, phi_E, errors)
-    and replicate diagnostics (degenerate Efron, wild; truncated Efron)."""
+    """Run replicates lo..hi-1; return counts (phi_n, phi_W, phi_E, errors),
+    replicate diagnostics (degenerate Efron, wild; truncated Efron) and
+    errors by cause (degenerate window; all Efron, all wild degenerate)."""
     t1, t2 = config.interval
     tconf = TestConfig(t1=t1, t2=t2, alpha=config.alpha, B=config.B)
     efron = WeightScheme(EFRON)
@@ -273,7 +280,7 @@ def _run_range(config: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
     normal_crit = NormalDist().inv_cdf(1.0 - config.alpha)
     l1, l2 = config.censor_rates
     sid = config.scenario_id
-    counts = np.zeros(7, dtype=np.int64)
+    counts = np.zeros(10, dtype=np.int64)
 
     for r in range(lo, hi):
         rng_data = substream(config.seed, sid, r, "data")
@@ -283,7 +290,7 @@ def _run_range(config: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
         try:
             prep = prepare_test(panel1, panel2, tconf)
         except DataError:
-            counts[3] += 1
+            counts[[3, 7]] += 1
             continue
         stud = prep.studentized
         counts[0] += stud > normal_crit
@@ -291,12 +298,15 @@ def _run_range(config: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
         # Efron first, then wild, off the shared per-dataset weight stream
         eblock = replicate_block(prep.pooled, efron, config.B, rng_weights)
         wblock = replicate_block(prep.pooled, wild, config.B, rng_weights)
-        counts[4:] += eblock.degenerate, wblock.degenerate, eblock.truncated
+        counts[4:7] += eblock.degenerate, wblock.degenerate, eblock.truncated
         for slot, block in ((2, eblock), (1, wblock)):
             if block.degenerate < config.B:
                 counts[slot] += stud > bootstrap_critical_value(
                     block.studentized, config.alpha)
-        counts[3] += config.B in (eblock.degenerate, wblock.degenerate)
+        all_e = eblock.degenerate == config.B
+        all_w = wblock.degenerate == config.B
+        counts[3] += all_e or all_w
+        counts[8:] += all_e, all_w
 
     return counts
 
@@ -322,17 +332,10 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloReport:
                 if b > a]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             counts = sum(pool.map(_run_range_star, jobs))
-    return MonteCarloReport(
-        config=config,
-        scenario_id=config.scenario_id,
-        reject_phi_n=int(counts[0]),
-        reject_phi_w=int(counts[1]),
-        reject_phi_e=int(counts[2]),
-        error_count=int(counts[3]),
-        degenerate_phi_e=int(counts[4]), degenerate_phi_w=int(counts[5]),
-        truncated_phi_e=int(counts[6]),
-        runtime=time.perf_counter() - start,
-    )
+    # _run_range's counts are laid out in the report's field order
+    return MonteCarloReport(config, config.scenario_id,
+                            *(int(c) for c in counts),
+                            runtime=time.perf_counter() - start)
 
 
 TABLE1_SIZES = ((50, 50), (50, 100), (100, 100))

@@ -29,7 +29,7 @@ import numpy as np
 from .data import CountingProcessPanel, DataError
 from .estimators import PluginTables, jump_table, plugin_tables
 from .resampling import (BAYESIAN, EFRON, IID_WEIGHTED, WeightScheme,
-                         draw_weights, efron_labels, row_chunks)
+                         draw_weights, row_chunks)
 from .stepfun import CONSTANT_ONE, StepFunction
 
 _NORMAL = NormalDist()
@@ -412,14 +412,16 @@ def replicate_block(pooled: PooledZ, scheme: WeightScheme, B: int,
                     rng: np.random.Generator) -> ReplicateBlock:
     """Generate B studentized bootstrap replicates as vectorized blocks.
 
-    Efron draws m multinomial labels per replicate (w = counts - 1, whose
-    mean is exactly 0, and v = counts with the correction term), and the
-    count-weighted sums are sums of I and I^2 at the labels.  Wild schemes
-    draw iid multipliers (uncentered, v = G^2, no correction) only for the
-    entries with a nonzero integral; the others add nothing to T* or V*.
-    Replicates whose variance is not positive get studentized value 0 and
-    are counted as degenerate; negative Efron variances are clipped to 0
-    first and counted as truncated.
+    Only the k entries with a nonzero integral move T* or V*, so both
+    schemes draw for those alone, and nothing when k = 0.  Efron counts are
+    Multinomial(m, 1/m) over all m entries (w = counts - 1, v = counts, the
+    correction term over m): L ~ Binomial(m, k/m) of a replicate's labels
+    fall uniformly on the k entries, so all B hit counts are drawn, then
+    each replicate's L labels, and T*, V* are sums of I and I^2 at them.
+    Wild schemes draw k iid multipliers (uncentered, v = G^2, no
+    correction).  Replicates whose variance is not positive get studentized
+    value 0 and are counted as degenerate; negative Efron variances are
+    clipped to 0 first and counted as truncated.
 
     The iid-weighted and Bayesian schemes are refused: Efron's V* needs
     v = w + 1 >= 0, which iid-weighted weights do not guarantee, and no
@@ -429,25 +431,33 @@ def replicate_block(pooled: PooledZ, scheme: WeightScheme, B: int,
         raise DataError("the two-sample bootstrap test supports the efron "
                         "and wild schemes only")
     i = pooled.integrals
+    inz = i[i != 0.0]
+    k, m = inz.size, pooled.size
     tstar, vstar = np.zeros(B), np.zeros(B)
     truncated = 0
-    if scheme.kind == EFRON:
-        total = i.sum()
-        for sl, take in row_chunks(B, pooled.size):
-            g = i[efron_labels(take, pooled.size, rng)]
-            s1 = g.sum(axis=1)
+    if k and scheme.kind == EFRON:
+        # all hit counts first, so the label draws do not depend on chunking
+        hits = rng.binomial(m, k / m, size=B)
+        total = inz.sum()
+        for sl, _ in row_chunks(B, m):
+            h = hits[sl]
+            g = inz[rng.integers(0, k, size=h.sum())]
+            # reduceat gives g[start], not 0, for an empty row: skip those
+            hit = h > 0
+            starts = (np.cumsum(h) - h)[hit]
+            s1, s2 = np.zeros(h.size), np.zeros(h.size)
+            s1[hit] = np.add.reduceat(g, starts)
+            s2[hit] = np.add.reduceat(np.square(g, out=g), starts)
             tstar[sl], vstar[sl], clipped = _replicate_kernel(
-                pooled, s1 - total, np.square(g, out=g).sum(axis=1), s1)
+                pooled, s1 - total, s2, s1)
             truncated += clipped
-    else:
-        inz = i[i != 0.0]  # when empty, nothing is drawn: all degenerate
-        if inz.size:
-            for sl, take in row_chunks(B, inz.size):
-                g = draw_weights(scheme, take, inz.size, rng)
-                wi = g @ inz
-                np.square(g, out=g)
-                tstar[sl], vstar[sl], _ = _replicate_kernel(
-                    pooled, wi, g @ (inz * inz))
+    elif k:
+        for sl, take in row_chunks(B, k):
+            g = draw_weights(scheme, take, k, rng)
+            wi = g @ inz
+            np.square(g, out=g)
+            tstar[sl], vstar[sl], _ = _replicate_kernel(
+                pooled, wi, g @ (inz * inz))
 
     positive = vstar > 0
     degenerate = int(B - np.count_nonzero(positive))

@@ -285,6 +285,8 @@ def test_cli_simulate_table1_cell(tmp_path):
     assert set(cell["counts"]) == {"phi_n", "phi_W", "phi_E"}
     assert set(cell["degenerate_replicates"]) == {"phi_W", "phi_E"}
     assert set(cell["truncated_variances"]) == {"phi_E"}
+    assert set(cell["all_degenerate_datasets"]) == {"phi_W", "phi_E"}
+    assert cell["degenerate_windows"] <= cell["error_count"]
     man = json.loads((outs[0] / "manifest.json").read_text())
     assert len(man["cell_runtimes_seconds"]) == 1
 

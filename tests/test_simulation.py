@@ -234,15 +234,31 @@ def test_error_datasets_counted_not_rejected():
 def test_replicate_diagnostics_are_worker_invariant_sums():
     # four heavily censored subjects per group: many Efron replicates, and
     # every wild replicate of a dataset without an event in the window,
-    # have zero variance
-    config = fast_config(n1=4, n2=4, censor_rates=(2.0, 2.0), n_sim=24)
-    serial = run_scenario(config, workers=1)
-    parallel = run_scenario(config, workers=2)
-    assert serial == parallel
-    assert serial.degenerate_phi_e > 0 and serial.degenerate_phi_w > 0
-    parts = [_run_range(config, lo, hi) for lo, hi in ((0, 5), (5, 24))]
-    assert (serial.degenerate_phi_e, serial.degenerate_phi_w,
-            serial.truncated_phi_e) == tuple(sum(parts)[4:])
+    # have zero variance; with the window starting at 0.2 some datasets
+    # run out of risk before it (a degenerate window)
+    windows = 0
+    for interval in ((0.0, 1.5), (0.2, 1.5)):
+        config = fast_config(n1=4, n2=4, censor_rates=(2.0, 2.0), n_sim=24,
+                             interval=interval)
+        serial = run_scenario(config, workers=1)
+        parallel = run_scenario(config, workers=2)
+        assert serial == parallel
+        assert serial.degenerate_phi_e > 0 and serial.degenerate_phi_w > 0
+        parts = [_run_range(config, lo, hi) for lo, hi in ((0, 5), (5, 24))]
+        assert (serial.degenerate_phi_e, serial.degenerate_phi_w,
+                serial.truncated_phi_e, serial.degenerate_windows,
+                serial.all_degenerate_phi_e,
+                serial.all_degenerate_phi_w) == tuple(sum(parts)[4:])
+        # the causes split error_count; a dataset can count under both
+        # schemes
+        window, by_e, by_w = (serial.degenerate_windows,
+                              serial.all_degenerate_phi_e,
+                              serial.all_degenerate_phi_w)
+        assert by_w > 0
+        assert (window + max(by_e, by_w) <= serial.error_count
+                <= window + by_e + by_w)
+        windows += window
+    assert windows > 0
 
 
 def test_report_rates():

@@ -15,12 +15,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import assume, given, settings, strategies as st
 
 import cifboot as cb
 from cifboot import resampling, twosample
 from cifboot.resampling import (BAYESIAN, EFRON, WILD_CUSTOM, WILD_NORMAL,
                                 WILD_POISSON, build_z)
+
+from cifboot.simulation import ConstantPair, Group1Exp, draw_panel
 
 import oracles
 from conftest import (build_panel, brute_from_panel, event_subjects,
@@ -381,29 +384,42 @@ def _studentize(tstar, vstar):
                     tstar / np.sqrt(np.where(positive, vstar, 1.0)), 0.0)
 
 
+def _thinned_counts(rng, B, k, m):
+    # Efron's documented draws: per replicate L ~ Binomial(m, k/m) labels
+    # land on the k nonzero entries, then the labels of all rows in turn,
+    # tallied row by row onto those entries
+    hits = rng.binomial(m, k / m, size=B)
+    labels = np.split(rng.integers(0, k, size=hits.sum()), np.cumsum(hits)[:-1])
+    return hits, np.array([np.bincount(row, minlength=k) for row in labels])
+
+
 def test_replicate_block_draws_the_documented_streams():
-    # Efron: the labels of draw_weights' count form, on the same stream;
+    # Efron: thinned labels over the nonzero entries (_thinned_counts);
     # wild: one multiplier per nonzero entry, draw_weights(scheme, B, k)
     B = 300
     schemes = (cb.WeightScheme(EFRON), cb.WeightScheme(WILD_NORMAL),
                cb.WeightScheme(WILD_POISSON),
                cb.WeightScheme(WILD_CUSTOM, sampler=_rademacher))
+    empty_rows = 0
     for (sub1, sub2, t2), scheme in itertools.product(SPARSE_PAIRS, schemes):
         pooled = twosample.pooled_z(build_panel(sub1), build_panel(sub2),
                                     cb.TestConfig(t2=t2))
         i = pooled.integrals
         k2 = pooled.kappa**2
+        nz = i != 0.0
+        k = np.count_nonzero(nz)
+        assert 0 < k < pooled.size
         rng_ref, rng_block = (np.random.default_rng(21) for _ in range(2))
         block = twosample.replicate_block(pooled, scheme, B, rng_block)
         if scheme.kind == EFRON:
-            counts = cb.draw_weights(scheme, B, pooled.size, rng_ref) + 1.0
-            tstar = pooled.kappa * ((counts - 1.0) @ i)
-            vstar = k2 * (counts @ (i * i)) - k2 / pooled.size * (counts @ i)**2
+            hits, counts = _thinned_counts(rng_ref, B, k, pooled.size)
+            empty_rows += np.count_nonzero(hits == 0)
+            tstar = pooled.kappa * ((counts - 1.0) @ i[nz])
+            vstar = (k2 * (counts @ (i[nz] ** 2))
+                     - k2 / pooled.size * (counts @ i[nz])**2)
             assert block.truncated == np.count_nonzero(vstar < 0)
         else:
-            nz = i != 0.0
-            assert 0 < np.count_nonzero(nz) < pooled.size
-            g = cb.draw_weights(scheme, B, np.count_nonzero(nz), rng_ref)
+            g = cb.draw_weights(scheme, B, k, rng_ref)
             tstar, vstar, _ = twosample._replicate_kernel(
                 pooled, g @ i[nz], (g * g) @ (i[nz] ** 2))
             assert block.truncated == 0
@@ -413,11 +429,13 @@ def test_replicate_block_draws_the_documented_streams():
                                    rtol=1e-12, atol=1e-12)
         assert (rng_block.bit_generator.state
                 == rng_ref.bit_generator.state)
+    # rows without a label on a nonzero entry take the masked path
+    assert empty_rows > 0
 
 
 def test_replicate_block_without_nonzero_entries():
-    # every event lies past t2, so every pooled integral is 0: wild draws
-    # nothing, Efron draws as usual, and every replicate is degenerate
+    # every event lies past t2, so every pooled integral is 0: neither
+    # scheme draws anything, and every replicate is degenerate
     p1 = build_panel([(0, 5, 1), (0, 8, 0)])
     p2 = build_panel([(0, 6, 2), (0, 10, 0)])
     cfg = cb.TestConfig(t1=0.0, t2=2.0, B=19, seed=1)
@@ -429,7 +447,7 @@ def test_replicate_block_without_nonzero_entries():
         assert block.degenerate == 19
         assert not np.any(block.studentized)
         untouched = np.random.default_rng(5).bit_generator.state
-        assert (rng.bit_generator.state == untouched) == (kind == WILD_NORMAL)
+        assert rng.bit_generator.state == untouched
         with pytest.raises(cb.NumericalError, match="zero variance"):
             cb.test_phi_star(p1, p2, dataclasses.replace(
                 cfg, scheme=cb.WeightScheme(kind)))
@@ -437,8 +455,10 @@ def test_replicate_block_without_nonzero_entries():
 
 def test_one_vector_forms_are_rows_of_the_block():
     # bootstrap_statistic/bootstrap_variance on each drawn weight row give
-    # the T*/V* behind replicate_block's studentized values and counts;
-    # wild rows are drawn for the nonzero entries and scattered into 2n
+    # the T*/V* behind replicate_block's studentized values and counts.
+    # Rows are drawn for the nonzero entries and scattered into 2n: wild
+    # rows leave 0 elsewhere; Efron rows put the m - L labels that missed
+    # the nonzero entries on one zero entry, so counts sum to m
     B = 300
     for (sub1, sub2, t2), kind in itertools.product(
             SPARSE_PAIRS, (EFRON, WILD_NORMAL, WILD_POISSON)):
@@ -446,11 +466,15 @@ def test_one_vector_forms_are_rows_of_the_block():
                                     cb.TestConfig(t2=t2))
         scheme = cb.WeightScheme(kind)
         efron = kind == EFRON
-        nz = (np.arange(pooled.size) if efron
-              else np.flatnonzero(pooled.integrals))
+        nz = np.flatnonzero(pooled.integrals)
+        rng = np.random.default_rng(21)
         w = np.zeros((B, pooled.size))
-        w[:, nz] = cb.draw_weights(scheme, B, nz.size,
-                                   np.random.default_rng(21))
+        if efron:
+            hits, w[:, nz] = _thinned_counts(rng, B, nz.size, pooled.size)
+            w[:, np.flatnonzero(pooled.integrals == 0.0)[0]] = pooled.size - hits
+            w -= 1.0
+        else:
+            w[:, nz] = cb.draw_weights(scheme, B, nz.size, rng)
         block = twosample.replicate_block(pooled, scheme, B,
                                           np.random.default_rng(21))
         with warnings.catch_warnings(record=True) as caught:
@@ -464,6 +488,27 @@ def test_one_vector_forms_are_rows_of_the_block():
         assert block.degenerate == B - np.count_nonzero(v > 0)
         np.testing.assert_allclose(block.studentized, _studentize(t, v),
                                    rtol=1e-12, atol=1e-12)
+
+
+def test_thinned_efron_has_the_multinomial_law():
+    # the thinned block against T*/V* of full Multinomial(m, 1/m) count
+    # vectors (draw_weights' count form) on another stream, on a censored
+    # pair where most entries are zero
+    data = np.random.default_rng(606)
+    p1 = draw_panel(Group1Exp(), 40, 1.0, data)
+    p2 = draw_panel(ConstantPair(1.0), 40, 1.0, data)
+    pooled = twosample.pooled_z(p1, p2, cb.TestConfig(t2=1.5))
+    i, m, k2 = pooled.integrals, pooled.size, pooled.kappa**2
+    assert np.count_nonzero(i) < 0.4 * m
+    B = 20_000
+    block = twosample.replicate_block(pooled, cb.WeightScheme(EFRON), B,
+                                      np.random.default_rng(607))
+    counts = cb.draw_weights(cb.WeightScheme(EFRON), B, m,
+                             np.random.default_rng(608)) + 1.0
+    tstar = pooled.kappa * ((counts - 1.0) @ i)
+    vstar = k2 * (counts @ (i * i)) - k2 / m * (counts @ i)**2
+    full = _studentize(tstar, np.maximum(vstar, 0.0))
+    assert scipy.stats.ks_2samp(block.studentized, full).pvalue >= 0.001
 
 
 def test_critical_rank_convention():
