@@ -7,9 +7,9 @@ studentized one-sided two-sample tests with asymptotic or bootstrap critical
 values, plus the Monte Carlo suites that size-check them.
 """
 
-from .data import (CountingProcessPanel, DataError, Observation,
-                   PositiveRiskReport, Sample, Status, check_positive_risk,
-                   compile_panel, compile_panel_arrays, ingest_csv)
+from .data import (CountingProcessPanel, DataError, PositiveRiskReport, Sample,
+                   Status, check_positive_risk, compile_panel,
+                   compile_panel_arrays, ingest_csv)
 from .estimators import (PluginTables, aalen_johansen, kaplan_meier,
                          nelson_aalen, plugin_tables, sigma_hat, xi_hat,
                          zeta_hat)
@@ -21,8 +21,7 @@ from .resampling import (BAYESIAN, EFRON, IID_WEIGHTED, WILD_CUSTOM,
 from .rng import fresh_seed, substream
 from .simulation import (ConstantPair, Group1Exp, HazardModel,
                          MonteCarloReport, PiecewiseConstant, ScenarioConfig,
-                         draw_panel, draw_subject, run_scenario, suite_configs,
-                         table_suite)
+                         draw_panel, run_scenario, suite_configs, table_suite)
 from .stepfun import CONSTANT_ONE, CovarianceSurface, StepFunction
 from .twosample import (NumericalError, PooledZ, PreparedTest, ReplicateBlock,
                         TestConfig, TestResult, bootstrap_critical_value,

@@ -25,45 +25,21 @@ class Status(IntEnum):
     CAUSE2 = 2
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One subject: entry time, exit time and exit status.
+@dataclass(frozen=True, eq=False)
+class Sample:
+    """A sample as three aligned arrays, one entry per subject.
 
     ``entry`` is the left-truncation time (0 if the subject was observed
-    from time origin), ``exit`` the observed time min(event, censoring).
+    from time origin), ``exit`` the observed time min(event, censoring) and
+    ``status`` the exit code 0 (censored), 1 or 2 (the failure cause).
     """
 
-    entry: float
-    exit: float
-    status: Status
-
-    def __post_init__(self):
-        object.__setattr__(self, "entry", float(self.entry))
-        object.__setattr__(self, "exit", float(self.exit))
-        object.__setattr__(self, "status", Status(self.status))
-        if not self.entry >= 0.0:
-            raise DataError(f"entry time must be >= 0, got {self.entry}")
-        if not self.exit > self.entry:
-            raise DataError(
-                f"exit must be strictly later than entry, got entry={self.entry}, exit={self.exit}"
-            )
-
-
-@dataclass(frozen=True)
-class Sample:
-    """An ordered collection of observations, optionally labeled."""
-
-    observations: tuple[Observation, ...]
-    group_label: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "observations", tuple(self.observations))
+    entry: np.ndarray
+    exit: np.ndarray
+    status: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.observations)
-
-    def __iter__(self):
-        return iter(self.observations)
+        return len(self.exit)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,10 +85,24 @@ def compile_panel(sample: Sample) -> CountingProcessPanel:
     deplete Y for concurrent censorings); Y uses the entry-strict,
     exit-inclusive convention.  Exact float equality defines a tie.
     """
-    entry = np.fromiter((o.entry for o in sample), dtype=float, count=len(sample))
-    exit_ = np.fromiter((o.exit for o in sample), dtype=float, count=len(sample))
-    status = np.fromiter((int(o.status) for o in sample), dtype=np.int64, count=len(sample))
-    return compile_panel_arrays(entry, exit_, status)
+    return compile_panel_arrays(sample.entry, sample.exit, sample.status)
+
+
+def _first_bad_row(entry: np.ndarray, exit_: np.ndarray,
+                   status: np.ndarray) -> tuple[int, str] | None:
+    """The index of the first row that fails a check and why, or None."""
+    checks = (
+        (np.isfinite(entry) & np.isfinite(exit_), "times must be finite"),
+        (entry >= 0.0, "entry time must be >= 0"),
+        (exit_ > entry, "exit must be strictly later than entry"),
+        ((status == 0) | (status == 1) | (status == 2), "status must be 0, 1 or 2"),
+    )
+    ok = np.logical_and.reduce([good for good, _ in checks])
+    if ok.all():
+        return None
+    i = int(np.argmin(ok))
+    why = next(msg for good, msg in checks if not good[i])
+    return i, f"{why}, got entry={entry[i]}, exit={exit_[i]}, status={status[i]}"
 
 
 def compile_panel_arrays(entry: np.ndarray, exit_: np.ndarray,
@@ -133,18 +123,9 @@ def compile_panel_arrays(entry: np.ndarray, exit_: np.ndarray,
     n = exit_.shape[0]
     if n == 0:
         raise DataError("cannot compile an empty sample")
-    checks = (
-        (np.isfinite(entry) & np.isfinite(exit_), "times must be finite"),
-        (entry >= 0.0, "entry time must be >= 0"),
-        (exit_ > entry, "exit must be strictly later than entry"),
-        ((status == 0) | (status == 1) | (status == 2), "status must be 0, 1 or 2"),
-    )
-    ok = np.logical_and.reduce([good for good, _ in checks])
-    if not ok.all():
-        i = int(np.argmin(ok))
-        why = next(msg for good, msg in checks if not good[i])
-        raise DataError(f"row {i}: {why}, got entry={entry[i]}, "
-                        f"exit={exit_[i]}, status={status[i]}")
+    bad = _first_bad_row(entry, exit_, status)
+    if bad is not None:
+        raise DataError(f"row {bad[0]}: {bad[1]}")
     status = status.astype(np.int64)
 
     times, inverse = np.unique(exit_, return_inverse=True)
@@ -249,13 +230,16 @@ def _at_risk_between(panel: CountingProcessPanel, t: np.ndarray) -> np.ndarray:
 
 def ingest_csv(path, *, entry_col: str = "entry", exit_col: str = "exit",
                status_col: str = "status", censored_code: str = "0",
-               cause1_code: str = "1", cause2_code: str = "2",
-               group_label: str | None = None) -> Sample:
+               cause1_code: str = "1", cause2_code: str = "2") -> Sample:
     """Read a sample from a headed CSV file.
 
     The exit and status columns are required; the entry column is used when
     present and defaults to 0 otherwise.  Status codes are compared as
-    stripped strings against the three configured codes.
+    stripped strings against the three configured codes.  Empty lines are
+    skipped.  Rows get the same checks as :func:`compile_panel_arrays`, and
+    every error names a file line.  The checks run column by column (field
+    count, exit, entry, status code, then the row check), so with several
+    bad rows the first row failing the earliest check is the one named.
     """
     code_map = {censored_code: Status.CENSORED,
                 cause1_code: Status.CAUSE1,
@@ -263,25 +247,46 @@ def ingest_csv(path, *, entry_col: str = "entry", exit_col: str = "exit",
     if len(code_map) != 3:
         raise DataError("status codes must be three distinct values")
 
-    observations = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in (exit_col, status_col):
-            if col not in header:
-                raise DataError(f"missing required column {col!r} in {path}")
-        has_entry = entry_col in header
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                exit_ = float(row[exit_col])
-                entry = float(row[entry_col]) if has_entry else 0.0
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"malformed row at line {lineno}: {exc}") from None
-            raw = (row[status_col] or "").strip()
-            if raw not in code_map:
-                raise DataError(f"unknown status code {raw} at line {lineno}")
-            try:
-                observations.append(Observation(entry, exit_, code_map[raw]))
-            except DataError as exc:
-                raise DataError(f"line {lineno}: {exc}") from None
-    return Sample(tuple(observations), group_label=group_label)
+        reader = csv.reader(fh)
+        col = {name: j for j, name in enumerate(next(reader, []))}
+        for name in (exit_col, status_col):
+            if name not in col:
+                raise DataError(f"missing required column {name!r} in {path}")
+        need = 1 + max(col[name] for name in (entry_col, exit_col, status_col)
+                       if name in col)
+        rows, lines = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < need:
+                raise DataError(f"line {reader.line_num}: expected at least "
+                                f"{need} fields, got {len(row)}")
+            rows.append(row)
+            lines.append(reader.line_num)
+
+    def floats(name):
+        text = [row[col[name]] for row in rows]
+        try:
+            return np.array(text, dtype=float)
+        except ValueError:
+            for k, value in enumerate(text):
+                try:
+                    float(value)
+                except ValueError as exc:
+                    raise DataError(f"line {lines[k]}: {exc}") from None
+            raise
+
+    exit_ = floats(exit_col)
+    entry = floats(entry_col) if entry_col in col else np.zeros(len(rows))
+    codes = [row[col[status_col]].strip() for row in rows]
+    try:
+        status = np.array([code_map[c] for c in codes], dtype=np.int64)
+    except KeyError as exc:
+        k = codes.index(exc.args[0])
+        raise DataError(f"line {lines[k]}: unknown status code "
+                        f"{exc.args[0]!r}") from None
+    bad = _first_bad_row(entry, exit_, status)
+    if bad is not None:
+        raise DataError(f"line {lines[bad[0]]}: {bad[1]}")
+    return Sample(entry, exit_, status)

@@ -59,10 +59,6 @@ class WeightScheme:
             if not self.mu_eta > 0:
                 raise DataError("iid-weighted scheme needs mu_eta > 0 (positive weights)")
 
-    @property
-    def is_wild(self) -> bool:
-        return self.kind in (WILD_NORMAL, WILD_POISSON, WILD_CUSTOM)
-
 
 def scheme_from_name(name: str) -> WeightScheme:
     """Construct a parameter-free scheme from its CLI name."""

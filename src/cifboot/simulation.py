@@ -20,8 +20,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import CountingProcessPanel, DataError, Observation, Status, \
-    compile_panel_arrays
+from .data import CountingProcessPanel, DataError, compile_panel_arrays
 from .resampling import EFRON, WILD_NORMAL, WeightScheme
 from .rng import substream
 from .twosample import TestConfig, bootstrap_critical_value, prepare_test, \
@@ -139,26 +138,12 @@ class PiecewiseConstant:
 HazardModel = Group1Exp | ConstantPair | PiecewiseConstant
 
 
-def draw_subject(model: HazardModel, censor_rate: float,
-                 rng: np.random.Generator) -> Observation:
-    """Draw one subject: event time by hazard inversion, cause by the
-    conditional probability alpha1(T) / (alpha1 + alpha2)(T), censoring
-    exponential with the given rate (none for rate 0)."""
-    t = float(model.event_times(rng, 1)[0])
-    cause = Status.CAUSE1 if rng.random() < float(model.cause1_prob(t)) else Status.CAUSE2
-    if censor_rate > 0:
-        c = float(rng.standard_exponential()) / censor_rate
-        if c < t:
-            return Observation(0.0, c, Status.CENSORED)
-    return Observation(0.0, t, cause)
-
-
 def draw_panel(model: HazardModel, n: int, censor_rate: float,
                rng: np.random.Generator) -> CountingProcessPanel:
     """Draw a compiled n-subject panel in one vectorized pass.
 
-    Consumes the generator in block order (all event times, then all cause
-    uniforms, then all censoring draws), unlike n calls to draw_subject.
+    Consumes the generator in block order: all event times, then all cause
+    uniforms, then all censoring draws.
     """
     t = model.event_times(rng, n)
     u = rng.random(n)

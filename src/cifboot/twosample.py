@@ -360,15 +360,13 @@ def _vector(pooled: PooledZ, values, what: str) -> np.ndarray:
     return vec
 
 
-def bootstrap_statistic(z_pooled: PooledZ, weights,
-                        config: TestConfig | None = None, *,
+def bootstrap_statistic(z_pooled: PooledZ, weights, *,
                         centered: bool = True) -> float:
     """T_n*: the resampled statistic for one pooled weight vector.
 
-    The window and rho are already baked into ``z_pooled``; ``config`` is
-    accepted for signature symmetry and ignored.  Centering subtracts the
-    pooled mean of the weights, which integrates the Z-bar term exactly;
-    ``centered=False`` gives the wild variant that omits it.
+    The window and rho are already baked into ``z_pooled``.  Centering
+    subtracts the pooled mean of the weights, which integrates the Z-bar
+    term exactly; ``centered=False`` gives the wild variant that omits it.
     """
     w = _vector(z_pooled, weights, "weights")
     if centered:
@@ -377,8 +375,7 @@ def bootstrap_statistic(z_pooled: PooledZ, weights,
     return float(tstar)
 
 
-def bootstrap_variance(z_pooled: PooledZ, v_weights,
-                       config: TestConfig | None = None, *,
+def bootstrap_variance(z_pooled: PooledZ, v_weights, *,
                        include_xi: bool = True) -> float:
     """V_n*^2: the resampled variance for one nonnegative v-weight vector.
 

@@ -1,39 +1,23 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cifboot as cb
 
 from conftest import build_panel, subjects
 
 
-def test_observation_validates_times():
-    with pytest.raises(cb.DataError, match="entry time"):
-        cb.Observation(-0.5, 1.0, 1)
-    with pytest.raises(cb.DataError, match="strictly later"):
-        cb.Observation(2.0, 2.0, 0)
-    with pytest.raises(cb.DataError):
-        cb.Observation(0.0, float("nan"), 1)
-
-
-def test_observation_coerces_status():
-    obs = cb.Observation(0, 1, 2)
-    assert obs.status is cb.Status.CAUSE2
-    assert isinstance(obs.exit, float)
-    with pytest.raises(ValueError):
-        cb.Observation(0, 1, 3)
-
-
 def test_sample_container():
-    obs = (cb.Observation(0, 1, 1), cb.Observation(0, 2, 0))
-    sample = cb.Sample(obs, group_label="a")
+    sample = cb.Sample(np.zeros(2), np.array([1.0, 2.0]), np.array([1, 0]))
     assert len(sample) == 2
-    assert list(sample) == list(obs)
+    np.testing.assert_array_equal(sample.entry, [0.0, 0.0])
+    np.testing.assert_array_equal(sample.exit, [1.0, 2.0])
+    np.testing.assert_array_equal(sample.status, [1, 0])
 
 
 def test_compile_empty_sample_rejected():
     with pytest.raises(cb.DataError, match="empty"):
-        cb.compile_panel(cb.Sample(()))
+        cb.compile_panel(cb.Sample(np.array([]), np.array([]), np.array([])))
     with pytest.raises(cb.DataError, match="empty"):
         cb.compile_panel_arrays(np.array([]), np.array([]), np.array([]))
 
@@ -187,18 +171,17 @@ def test_panel_arrays_read_only():
 def test_ingest_csv_roundtrip(tmp_path):
     path = tmp_path / "sample.csv"
     path.write_text("entry,exit,status\n0,1.5,1\n0.25,2,0\n0,3,2\n")
-    sample = cb.ingest_csv(path, group_label="g1")
-    assert sample.group_label == "g1"
-    assert [o.exit for o in sample] == [1.5, 2.0, 3.0]
-    assert [int(o.status) for o in sample] == [1, 0, 2]
-    assert sample.observations[1].entry == 0.25
+    sample = cb.ingest_csv(path)
+    assert sample.exit.tolist() == [1.5, 2.0, 3.0]
+    assert sample.status.tolist() == [1, 0, 2]
+    assert sample.entry[1] == 0.25
 
 
 def test_ingest_csv_entry_column_optional(tmp_path):
     path = tmp_path / "noentry.csv"
     path.write_text("exit,status\n1,1\n2,2\n")
     sample = cb.ingest_csv(path)
-    assert all(o.entry == 0.0 for o in sample)
+    assert sample.entry.tolist() == [0.0, 0.0]
 
 
 def test_ingest_csv_missing_column(tmp_path):
@@ -227,7 +210,7 @@ def test_ingest_csv_custom_codes(tmp_path):
     path.write_text("exit,status\n1,relapse\n2,alive\n3,nrm\n")
     sample = cb.ingest_csv(path, censored_code="alive",
                            cause1_code="relapse", cause2_code="nrm")
-    assert [int(o.status) for o in sample] == [1, 0, 2]
+    assert sample.status.tolist() == [1, 0, 2]
 
 
 def test_ingest_csv_rejects_duplicate_codes(tmp_path):
@@ -242,3 +225,71 @@ def test_ingest_csv_bad_observation_reports_line(tmp_path):
     path.write_text("entry,exit,status\n0,1,1\n2,1,0\n")
     with pytest.raises(cb.DataError, match="line 3"):
         cb.ingest_csv(path)
+
+
+def test_ingest_csv_blank_lines_keep_line_numbers(tmp_path):
+    path = tmp_path / "blanks.csv"
+    path.write_text("exit,status\n\n1,1\n\n2,0\n1,7\n")
+    with pytest.raises(cb.DataError, match="^line 6: unknown status code '7'"):
+        cb.ingest_csv(path)
+    path.write_text("entry,exit,status\n\n\n0,1,1\n3,2,0\n")
+    with pytest.raises(cb.DataError, match="^line 5: exit must be strictly later"):
+        cb.ingest_csv(path)
+
+
+@pytest.mark.parametrize("row", ["0,inf,0", "0,1e400,2", "nan,1,1"])
+def test_ingest_csv_rejects_non_finite_times(tmp_path, row):
+    path = tmp_path / "inf.csv"
+    path.write_text(f"entry,exit,status\n0,1,1\n{row}\n")
+    with pytest.raises(cb.DataError, match="^line 3: times must be finite"):
+        cb.ingest_csv(path)
+
+
+def test_ingest_csv_short_row_and_blank_code(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("entry,exit,status\n0,1,1\n0,2\n")
+    with pytest.raises(cb.DataError,
+                       match="^line 3: expected at least 3 fields, got 2$"):
+        cb.ingest_csv(path)
+    path.write_text("entry,exit,status\n0,1,1\n0,2, \n")
+    with pytest.raises(cb.DataError, match="^line 3: unknown status code ''$"):
+        cb.ingest_csv(path)
+
+
+@st.composite
+def csv_samples(draw, scale):
+    """Subjects written as CSV text: random column order, custom status
+    codes and blank lines, the entry column dropped when every entry is 0."""
+    subs = draw(subjects(n_min=1, truncated=True))
+    cols = ["exit", "status"] + (["entry"] if any(a for a, _, _ in subs) else [])
+    cols = draw(st.permutations(cols))
+    codes = draw(st.lists(st.text("abz09", min_size=1, max_size=3),
+                          min_size=3, max_size=3, unique=True))
+    lines = [",".join(cols)]
+    for a, b, s in subs:
+        lines += [""] * draw(st.integers(0, 2))
+        pad = draw(st.sampled_from(["", " "]))
+        field = {"entry": repr(a / 2 * scale), "exit": repr(b / 2 * scale),
+                 "status": pad + codes[s] + pad}
+        lines.append(",".join(field[c] for c in cols))
+    return "\n".join(lines) + "\n", subs, codes
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 1000, 2.0 ** -1000])
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_ingest_csv_compiles_like_arrays(tmp_path, scale, data):
+    text, subs, codes = data.draw(csv_samples(scale))
+    path = tmp_path / "sample.csv"
+    path.write_text(text)
+    got = cb.compile_panel(cb.ingest_csv(
+        path, censored_code=codes[0], cause1_code=codes[1], cause2_code=codes[2]))
+    want = build_panel(subs)
+    assert got.n == want.n
+    for name in ("times", "at_risk", "d1", "d2", "d0", "subject_jumps", "entries"):
+        expect = getattr(want, name)
+        if name in ("times", "entries"):
+            expect = expect * scale
+        actual = getattr(got, name)
+        assert actual.dtype == expect.dtype and actual.shape == expect.shape
+        assert actual.tobytes() == expect.tobytes(), name

@@ -71,8 +71,6 @@ def test_scheme_from_name():
     for name in (IID_WEIGHTED, WILD_CUSTOM):
         with pytest.raises(cb.DataError, match="no CLI shorthand"):
             scheme_from_name(name)
-    assert scheme_from_name(EFRON).is_wild is False
-    assert scheme_from_name(WILD_POISSON).is_wild is True
 
 
 def test_multinomial_counts_single():

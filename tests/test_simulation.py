@@ -7,9 +7,8 @@ import pytest
 import cifboot as cb
 from cifboot.simulation import (PHI_E, PHI_N, PHI_W, ConstantPair, Group1Exp,
                                 PiecewiseConstant, ScenarioConfig, draw_panel,
-                                draw_subject, parse_cells, run_scenario,
-                                scenario_matches, suite_configs, table_suite,
-                                _run_range)
+                                parse_cells, run_scenario, scenario_matches,
+                                suite_configs, table_suite, _run_range)
 
 
 class FixedExponentials:
@@ -108,17 +107,6 @@ def test_piecewise_cause_probability_by_segment():
 
 
 # ------------------------------------------------------------- drawing
-
-def test_draw_subject_fields():
-    rng = np.random.default_rng(4)
-    obs = draw_subject(Group1Exp(), 0.0, rng)
-    assert obs.entry == 0.0
-    assert obs.status in (cb.Status.CAUSE1, cb.Status.CAUSE2)
-
-    censored = [draw_subject(Group1Exp(), 100.0, rng).status
-                for _ in range(200)]
-    assert censored.count(cb.Status.CENSORED) > 180
-
 
 def test_draw_panel_matches_block_order():
     rng1 = np.random.default_rng(77)

@@ -214,7 +214,7 @@ def test_bootstrap_forms_match_exact_rational_route(sub1, sub2, data):
     w = [Fraction(c) for c in counts]
     wbar = sum(w) / m
     want_t = sum((wi - wbar) * ii for wi, ii in zip(w, ints))
-    got_t = cb.bootstrap_statistic(pooled, np.array(counts, dtype=float), cfg)
+    got_t = cb.bootstrap_statistic(pooled, np.array(counts, dtype=float))
     scale = max(1.0, abs(float(want_t)))
     assert got_t == pytest.approx(pooled.kappa * float(want_t),
                                   abs=1e-12 * scale)
@@ -223,7 +223,7 @@ def test_bootstrap_forms_match_exact_rational_route(sub1, sub2, data):
                    - Fraction(1, m) * sum(vi * ii for vi, ii in zip(w, ints))**2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        got_v = cb.bootstrap_variance(pooled, np.array(counts, dtype=float), cfg)
+        got_v = cb.bootstrap_variance(pooled, np.array(counts, dtype=float))
     assert got_v == pytest.approx(max(float(want_v), 0.0), rel=1e-11, abs=1e-13)
 
     want_plain = k2 * sum(vi * ii * ii for vi, ii in zip(w, ints))
