@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 user or input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -31,9 +32,6 @@ from .simulation import PHI_E, PHI_N, PHI_W, run_scenario, suite_configs
 from .stepfun import StepFunction
 from .twosample import NumericalError, TestConfig, TestResult, test_phi_n, \
     test_phi_star
-
-_REQUIRED = object()
-
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
@@ -101,10 +99,45 @@ def _step_csv(fn: StepFunction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# option resolution (flags > config file > defaults)
+# options: one table drives the parser, the config keys, the casts and defaults
 
-def load_config(path: str) -> dict[str, str]:
-    """Read a flat key=value config file ('#' comments, blank lines ok)."""
+_REQUIRED = object()
+_METHODS = ("asymptotic", "efron", "wild")
+_COLUMNS = ("entry_col", "exit_col", "status_col")
+
+# name -> (type, default, help); a callable default is drawn at resolve time
+_OPTIONS = {
+    "seed": (int, fresh_seed, "master RNG seed, >= 0 (drawn fresh if omitted)"),
+    "out": (str, ".", "output directory"),
+    "input": (str, _REQUIRED, "input CSV path"),
+    "entry_col": (str, "entry", "entry-time column name"),
+    "exit_col": (str, "exit", "exit-time column name"),
+    "status_col": (str, "status", "status column name"),
+    "horizon": (float, None, "check the at-risk set up to this time"),
+    "group1": (str, _REQUIRED, "group 1 CSV path"),
+    "group2": (str, _REQUIRED, "group 2 CSV path"),
+    "method": (str, "asymptotic", "critical value: " + ", ".join(_METHODS)),
+    "rho": (str, None, "weight table, e.g. 0:1,0.75:2"),
+    "t1": (float, 0.0, "window start"),
+    "t2": (float, 1.5, "window end"),
+    "alpha": (float, 0.05, "test level"),
+    "B": (int, 999, "bootstrap replicates"),
+    "suite": (str, _REQUIRED, "scenario grid: table1 or table2"),
+    "nsim": (int, 1000, "datasets per cell"),
+    "cells": (str, None, 'scenario filter, e.g. "c=0.5,n=100"'),
+    "workers": (int, lambda: os.cpu_count() or 1,
+                "worker processes (default: CPU count)"),
+    "scheme": (str, _REQUIRED, "weight scheme, e.g. efron or wild-normal"),
+    "m": (int, _REQUIRED, "weight vector length"),
+    "draws": (int, 100_000, "Monte Carlo draws"),
+}
+
+
+def load_config(path: str, keys) -> dict[str, str]:
+    """Read a flat key=value config file ('#' comments, blank lines ok).
+
+    Only ``keys`` are accepted; any other key is an error.
+    """
     out = {}
     try:
         with open(path) as fh:
@@ -119,65 +152,45 @@ def load_config(path: str) -> dict[str, str]:
                 out[key.strip().replace("-", "_")] = val.strip()
     except OSError as exc:
         raise DataError(f"cannot read config file: {exc}") from None
-    unknown = set(out) - _CONFIG_KEYS
+    unknown = set(out) - set(keys)
     if unknown:
         raise DataError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return out
 
 
-_CONFIG_KEYS = {
-    "input", "entry_col", "exit_col", "status_col", "horizon",
-    "group1", "group2", "t1", "t2", "alpha", "B", "method", "rho",
-    "suite", "nsim", "cells", "workers",
-    "scheme", "m", "draws",
-    "seed", "out",
-}
+def resolve_options(args: argparse.Namespace, keys,
+                    cfg: dict[str, str]) -> dict[str, object]:
+    """Resolve ``keys`` in the order flag > config file > default.
 
-
-class Resolver:
-    """Merge parsed flags with a config-file dict, tracking what was used."""
-
-    def __init__(self, args: argparse.Namespace, cfg: dict[str, str]):
-        self.args = args
-        self.cfg = cfg
-        self.resolved: dict[str, object] = {}
-
-    def get(self, key: str, cast=str, default=_REQUIRED):
-        val = getattr(self.args, key, None)
-        if val is None and key in self.cfg:
+    Also checks the seed and creates the output directory.
+    """
+    opts = {}
+    for key in keys:
+        cast, default, _ = _OPTIONS[key]
+        val = getattr(args, key)
+        if val is None and key in cfg:
             try:
-                val = cast(self.cfg[key])
+                val = cast(cfg[key])
             except ValueError:
-                raise DataError(
-                    f"config key {key}={self.cfg[key]!r} is not a valid "
-                    f"{cast.__name__}") from None
+                raise DataError(f"config key {key}={cfg[key]!r} is not a "
+                                f"valid {cast.__name__}") from None
         if val is None:
             if default is _REQUIRED:
                 raise DataError(f"missing required option --{key.replace('_', '-')}")
-            val = default
-        self.resolved[key] = val
-        return val
-
-    def seed(self) -> int:
-        val = self.get("seed", int, None)
-        if val is None:
-            val = fresh_seed()
-            self.resolved["seed"] = val
-        return val
-
-    def out_dir(self) -> str:
-        out = self.get("out", str, ".")
-        os.makedirs(out, exist_ok=True)
-        return out
+            val = default() if callable(default) else default
+        opts[key] = val
+    if opts["seed"] < 0:
+        raise DataError(f"seed must be >= 0, got {opts['seed']}")
+    os.makedirs(opts["out"], exist_ok=True)
+    return opts
 
 
-def _write_manifest(out: str, command: str, res: Resolver, seed: int,
-                    outputs: list[str], started: float,
-                    extra: dict | None = None) -> None:
+def _write_manifest(command: str, opts: dict, outputs: list[str],
+                    started: float, extra: dict) -> None:
     man = {
         "command": command,
-        "config": dict(res.resolved),
-        "seed": seed,
+        "config": opts,
+        "seed": opts["seed"],
         "versions": {
             "cifboot": __version__,
             "numpy": np.__version__,
@@ -185,10 +198,9 @@ def _write_manifest(out: str, command: str, res: Resolver, seed: int,
         },
         "runtime_seconds": time.perf_counter() - started,
         "outputs": [os.path.basename(p) for p in outputs],
+        **extra,
     }
-    if extra:
-        man.update(extra)
-    _write(os.path.join(out, "manifest.json"), render_json(man))
+    _write(os.path.join(opts["out"], "manifest.json"), render_json(man))
 
 
 def parse_rho(spec: str) -> StepFunction:
@@ -218,29 +230,19 @@ def parse_rho(spec: str) -> StepFunction:
 # ---------------------------------------------------------------------------
 # commands
 
-def _load_sample(path: str, res: Resolver):
+def _load_sample(path: str, opts: dict):
     # a zero-byte file has no header to complain about either
     if os.path.exists(path) and os.path.getsize(path) == 0:
         raise DataError(f"no observations in {path}")
-    sample = ingest_csv(
-        path,
-        entry_col=res.get("entry_col", str, "entry"),
-        exit_col=res.get("exit_col", str, "exit"),
-        status_col=res.get("status_col", str, "status"),
-    )
+    sample = ingest_csv(path, **{key: opts[key] for key in _COLUMNS})
     if len(sample) == 0:
         raise DataError(f"no observations in {path}")
     return sample
 
 
-def cmd_estimate(res: Resolver) -> int:
-    started = time.perf_counter()
-    path = res.get("input")
-    seed = res.seed()  # unused by the estimators; recorded for uniformity
-    out = res.out_dir()
-    horizon = res.get("horizon", float, None)
-
-    panel = compile_panel(_load_sample(path, res))
+def cmd_estimate(opts: dict, args: argparse.Namespace):
+    out = opts["out"]
+    panel = compile_panel(_load_sample(opts["input"], opts))
     outputs = [
         _write(os.path.join(out, "cif1.csv"), _step_csv(aalen_johansen(panel, 1))),
         _write(os.path.join(out, "cif2.csv"), _step_csv(aalen_johansen(panel, 2))),
@@ -248,22 +250,13 @@ def cmd_estimate(res: Resolver) -> int:
     ]
 
     extra = {}
-    if horizon is not None:
-        report = check_positive_risk(panel, horizon)
-        extra["positive_risk"] = {
-            "n": report.n,
-            "horizon": report.horizon,
-            "min_fraction": report.min_fraction,
-            "min_time": report.min_time,
-            "zero_after": report.zero_after,
-            "ok": report.ok,
-        }
+    if opts["horizon"] is not None:
+        report = check_positive_risk(panel, opts["horizon"])
+        extra["positive_risk"] = {**dataclasses.asdict(report), "ok": report.ok}
         if not report.ok:
             print(f"warning: at-risk set empty after t={report.zero_after} "
                   f"(horizon {report.horizon})", file=sys.stderr)
-
-    _write_manifest(out, "estimate", res, seed, outputs, started, extra)
-    return 0
+    return outputs, extra
 
 
 # result.json keys in output order; the bootstrap ones only for bootstrap tests
@@ -281,30 +274,24 @@ def result_dict(result: TestResult) -> dict:
     return d
 
 
-def cmd_test(res: Resolver) -> int:
-    started = time.perf_counter()
-    path1 = res.get("group1")
-    path2 = res.get("group2")
-    method = res.get("method", str, "asymptotic")
-    if method not in ("asymptotic", "efron", "wild"):
+def cmd_test(opts: dict, args: argparse.Namespace):
+    method, seed, out = opts["method"], opts["seed"], opts["out"]
+    if method not in _METHODS:
         raise DataError(f"unknown method {method!r}")
-    rho_spec = res.get("rho", str, None)
-    seed = res.seed()
-    out = res.out_dir()
 
     config = TestConfig(
-        t1=res.get("t1", float, 0.0),
-        t2=res.get("t2", float, 1.5),
-        rho=parse_rho(rho_spec) if rho_spec else None,
-        alpha=res.get("alpha", float, 0.05),
-        B=res.get("B", int, 999),
+        t1=opts["t1"],
+        t2=opts["t2"],
+        rho=parse_rho(opts["rho"]) if opts["rho"] else None,
+        alpha=opts["alpha"],
+        B=opts["B"],
         scheme=WeightScheme(EFRON if method == "efron" else WILD_NORMAL),
         seed=seed,
     )
-    panel1 = compile_panel(_load_sample(path1, res))
-    panel2 = compile_panel(_load_sample(path2, res))
+    panel1 = compile_panel(_load_sample(opts["group1"], opts))
+    panel2 = compile_panel(_load_sample(opts["group2"], opts))
 
-    save_reps = bool(getattr(res.args, "save_replicates", False))
+    save_reps = args.save_replicates
     if method == "asymptotic":
         result = test_phi_n(panel1, panel2, config)
     else:
@@ -321,30 +308,24 @@ def cmd_test(res: Resolver) -> int:
                                    for v in result.replicates]
         outputs.append(_write(os.path.join(out, "replicates.csv"),
                               "\n".join(lines) + "\n"))
-
-    _write_manifest(out, "test", res, seed, outputs, started)
-    return 0
+    return outputs, {}
 
 
-def cmd_simulate(res: Resolver) -> int:
-    started = time.perf_counter()
-    suite = res.get("suite")
-    seed = res.seed()
-    out = res.out_dir()
-    workers = res.get("workers", int, os.cpu_count() or 1)
+def cmd_simulate(opts: dict, args: argparse.Namespace):
+    suite, out = opts["suite"], opts["out"]
     configs = suite_configs(
         suite,
-        n_sim=res.get("nsim", int, 1000),
-        B=res.get("B", int, 999),
-        seed=seed,
-        alpha=res.get("alpha", float, 0.05),
-        interval=(res.get("t1", float, 0.0), res.get("t2", float, 1.5)),
-        cells=res.get("cells", str, None),
+        n_sim=opts["nsim"],
+        B=opts["B"],
+        seed=opts["seed"],
+        alpha=opts["alpha"],
+        interval=(opts["t1"], opts["t2"]),
+        cells=opts["cells"],
     )
     if not configs:
         raise DataError("the cell filter matched no scenarios")
 
-    reports = [run_scenario(cf, workers=workers) for cf in configs]
+    reports = [run_scenario(cf, workers=opts["workers"]) for cf in configs]
 
     with_c = suite == "table2"
     header = ("c," if with_c else "") + "n1,n2,l1,l2,phi_n,phi_W,phi_E"
@@ -388,30 +369,37 @@ def cmd_simulate(res: Resolver) -> int:
         _write(os.path.join(out, "suite.json"),
                render_json({"suite": suite, "cells": cells_json})),
     ]
-    extra = {"cell_runtimes_seconds": [rep.runtime for rep in reports]}
-    _write_manifest(out, "simulate", res, seed, outputs, started, extra)
-    return 0
+    return outputs, {"cell_runtimes_seconds": [rep.runtime for rep in reports]}
 
 
-def cmd_validate_weights(res: Resolver) -> int:
-    started = time.perf_counter()
-    scheme_name = res.get("scheme")
-    m = res.get("m", int)
-    draws = res.get("draws", int, 100_000)
-    seed = res.seed()
-    out = res.out_dir()
-
-    scheme = scheme_from_name(scheme_name)
-    rng = substream(seed, f"validate-weights;{scheme.kind};m={m}", 0, "weights")
-    report = validate_weight_conditions(scheme, m, draws, rng)
-
-    outputs = [_write(os.path.join(out, "weights.json"), render_json(report))]
-    _write_manifest(out, "validate-weights", res, seed, outputs, started)
-    return 0
+def cmd_validate_weights(opts: dict, args: argparse.Namespace):
+    scheme, m = scheme_from_name(opts["scheme"]), opts["m"]
+    rng = substream(opts["seed"], f"validate-weights;{scheme.kind};m={m}", 0,
+                    "weights")
+    report = validate_weight_conditions(scheme, m, opts["draws"], rng)
+    return [_write(os.path.join(opts["out"], "weights.json"),
+                   render_json(report))], {}
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+# command -> (handler, help, option names in manifest order); each handler
+# returns its output paths and the extra manifest entries
+_COMMANDS = {
+    "estimate": (cmd_estimate, "estimate CIFs and survival from a CSV",
+                 ("input", "seed", "out", "horizon", *_COLUMNS)),
+    "test": (cmd_test, "two-sample cumulative incidence test",
+             ("group1", "group2", "method", "rho", "seed", "out",
+              "t1", "t2", "alpha", "B", *_COLUMNS)),
+    "simulate": (cmd_simulate, "run a Monte Carlo scenario suite",
+                 ("suite", "seed", "out", "workers", "nsim", "B", "alpha",
+                  "t1", "t2", "cells")),
+    "validate-weights": (cmd_validate_weights,
+                         "Monte Carlo check of weight moment conditions",
+                         ("scheme", "m", "draws", "seed", "out")),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -421,76 +409,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="master RNG seed")
-        p.add_argument("--out", help="output directory (default .)")
-
-    est = sub.add_parser("estimate", help="estimate CIFs and survival from a CSV")
-    common(est)
-    est.add_argument("--input", help="input CSV path")
-    est.add_argument("--entry-col", dest="entry_col")
-    est.add_argument("--exit-col", dest="exit_col")
-    est.add_argument("--status-col", dest="status_col")
-    est.add_argument("--horizon", type=float,
-                     help="check the at-risk set up to this time")
-
-    tst = sub.add_parser("test", help="two-sample cumulative incidence test")
-    common(tst)
-    tst.add_argument("--group1", help="group 1 CSV path")
-    tst.add_argument("--group2", help="group 2 CSV path")
-    tst.add_argument("--t1", type=float)
-    tst.add_argument("--t2", type=float)
-    tst.add_argument("--alpha", type=float)
-    tst.add_argument("--B", type=int, dest="B")
-    tst.add_argument("--method", choices=("asymptotic", "efron", "wild"))
-    tst.add_argument("--rho", help="weight table, e.g. 0:1,0.75:2")
-    tst.add_argument("--entry-col", dest="entry_col")
-    tst.add_argument("--exit-col", dest="exit_col")
-    tst.add_argument("--status-col", dest="status_col")
-    tst.add_argument("--save-replicates", action="store_true",
-                     dest="save_replicates",
-                     help="also write the studentized replicates CSV")
-
-    sim = sub.add_parser("simulate", help="run a Monte Carlo scenario suite")
-    common(sim)
-    sim.add_argument("--suite", choices=("table1", "table2"))
-    sim.add_argument("--nsim", type=int, dest="nsim")
-    sim.add_argument("--B", type=int, dest="B")
-    sim.add_argument("--alpha", type=float)
-    sim.add_argument("--t1", type=float)
-    sim.add_argument("--t2", type=float)
-    sim.add_argument("--cells", help='scenario filter, e.g. "c=0.5,n=100"')
-    sim.add_argument("--workers", type=int)
-
-    val = sub.add_parser("validate-weights",
-                         help="Monte Carlo check of weight moment conditions")
-    common(val)
-    val.add_argument("--scheme")
-    val.add_argument("--m", type=int)
-    val.add_argument("--draws", type=int)
-
+    for command, (_, text, keys) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=text)
+        cmd.add_argument("--config", help="flat key=value config file")
+        for key in keys:
+            cast, default, help_ = _OPTIONS[key]
+            if default is _REQUIRED:
+                help_ += " (required)"
+            elif default is not None and not callable(default):
+                help_ += f" (default {default})"
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key,
+                             type=cast, help=help_)
+        if command == "test":
+            cmd.add_argument("--save-replicates", action="store_true",
+                             help="also write the studentized replicates CSV")
     return parser
-
-
-_DISPATCH = {
-    "estimate": cmd_estimate,
-    "test": cmd_test,
-    "simulate": cmd_simulate,
-    "validate-weights": cmd_validate_weights,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, _, keys = _COMMANDS[args.command]
+    started = time.perf_counter()
     try:
-        cfg = load_config(args.config) if args.config else {}
-        return _DISPATCH[args.command](Resolver(args, cfg))
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        cfg = load_config(args.config, keys) if args.config else {}
+        opts = resolve_options(args, keys, cfg)
+        outputs, extra = handler(opts, args)
+        _write_manifest(args.command, opts, outputs, started, extra)
+        return 0
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -240,6 +240,8 @@ def ingest_csv(path, *, entry_col: str = "entry", exit_col: str = "exit",
     every error names a file line.  The checks run column by column (field
     count, exit, entry, status code, then the row check), so with several
     bad rows the first row failing the earliest check is the one named.
+    A leading byte-order mark is ignored; a header that names the entry,
+    exit or status column twice is an error.
     """
     code_map = {censored_code: Status.CENSORED,
                 cause1_code: Status.CAUSE1,
@@ -247,12 +249,16 @@ def ingest_csv(path, *, entry_col: str = "entry", exit_col: str = "exit",
     if len(code_map) != 3:
         raise DataError("status codes must be three distinct values")
 
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        col = {name: j for j, name in enumerate(next(reader, []))}
+        header = next(reader, [])
+        col = {name: j for j, name in enumerate(header)}
         for name in (exit_col, status_col):
             if name not in col:
                 raise DataError(f"missing required column {name!r} in {path}")
+        for name in (entry_col, exit_col, status_col):
+            if header.count(name) > 1:
+                raise DataError(f"duplicated column {name!r} in {path}")
         need = 1 + max(col[name] for name in (entry_col, exit_col, status_col)
                        if name in col)
         rows, lines = [], []

@@ -179,14 +179,15 @@ class ScenarioConfig:
             raise DataError("need n1, n2 >= 2")
         if self.n_sim < 1:
             raise DataError("need n_sim >= 1")
-        if self.B < 1:
-            raise DataError("need B >= 1")
         if any(r < 0 for r in self.censor_rates):
             raise DataError("censoring rates must be >= 0")
-        if not (0.0 <= self.interval[0] < self.interval[1]):
-            raise DataError(f"bad interval {self.interval}")
-        if not (0.0 < self.alpha < 1.0):
-            raise DataError(f"alpha must be in (0, 1), got {self.alpha}")
+        self.test_config  # building it checks the window, alpha and B
+
+    @property
+    def test_config(self) -> TestConfig:
+        """The settings of each dataset's test."""
+        t1, t2 = self.interval
+        return TestConfig(t1=t1, t2=t2, alpha=self.alpha, B=self.B)
 
     @property
     def scenario_id(self) -> str:
@@ -258,8 +259,7 @@ def _run_range(config: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
     """Run replicates lo..hi-1; return counts (phi_n, phi_W, phi_E, errors),
     replicate diagnostics (degenerate Efron, wild; truncated Efron) and
     errors by cause (degenerate window; all Efron, all wild degenerate)."""
-    t1, t2 = config.interval
-    tconf = TestConfig(t1=t1, t2=t2, alpha=config.alpha, B=config.B)
+    tconf = config.test_config
     efron = WeightScheme(EFRON)
     wild = WeightScheme(WILD_NORMAL)
     normal_crit = NormalDist().inv_cdf(1.0 - config.alpha)

@@ -64,18 +64,99 @@ def test_parse_rho():
 def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\nt2 = 2.0\nB=199   # trailing\nexit-col=stop\n\n")
-    cfg = load_config(str(path))
+    keys = ("t2", "B", "exit_col", "seed", "out")
+    cfg = load_config(str(path), keys)
     assert cfg == {"t2": "2.0", "B": "199", "exit_col": "stop"}
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("novalue\n")
     with pytest.raises(cb.DataError, match="key=value"):
-        load_config(str(bad))
+        load_config(str(bad), keys)
     bad.write_text("bogus_key=1\n")
     with pytest.raises(cb.DataError, match="unknown config keys"):
-        load_config(str(bad))
+        load_config(str(bad), keys)
     with pytest.raises(cb.DataError, match="cannot read"):
-        load_config(str(tmp_path / "missing.cfg"))
+        load_config(str(tmp_path / "missing.cfg"), keys)
+
+
+def test_cli_config_rejects_keys_of_other_commands(tmp_path, capsys):
+    # a key another command owns would be read by nobody and leave no
+    # trace in the manifest, so it fails like an unknown key
+    g1, g2 = write_samples(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"group1={g1}\ngroup2={g2}\nscheme=wild-normal\n"
+                   "nsim=5\nm=7\n")
+    assert main(["test", "--config", str(cfg), "--seed", "1",
+                 "--out", str(tmp_path / "o1")]) == 2
+    assert "unknown config keys: m, nsim, scheme" in capsys.readouterr().err
+
+    cfg.write_text("suite=table1\nnsim=2\nB=9\ncells=n=50,l1=0,l2=0\n"
+                   "method=efron\n")
+    assert main(["simulate", "--config", str(cfg), "--seed", "1",
+                 "--workers", "1", "--out", str(tmp_path / "o2")]) == 2
+    assert "unknown config keys: method" in capsys.readouterr().err
+
+
+def test_cli_allowed_values_checked_for_flags(tmp_path, capsys):
+    g1, g2 = write_samples(tmp_path)
+    assert main(["test", "--group1", g1, "--group2", g2, "--method",
+                 "jackknife", "--seed", "1", "--out", str(tmp_path / "o1")]) == 2
+    assert "unknown method 'jackknife'" in capsys.readouterr().err
+    assert main(["simulate", "--suite", "table3", "--seed", "1",
+                 "--out", str(tmp_path / "o2")]) == 2
+    assert "unknown suite 'table3'" in capsys.readouterr().err
+
+
+def test_cli_bad_config_value(tmp_path, capsys):
+    g1, g2 = write_samples(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"group1={g1}\ngroup2={g2}\nB=many\n")
+    assert main(["test", "--config", str(cfg), "--seed", "1",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "config key B='many' is not a valid int" in capsys.readouterr().err
+
+
+def _command_argvs(tmp_path):
+    g1, g2 = write_samples(tmp_path)
+    return {
+        "estimate": ["estimate", "--input", g1],
+        "test": ["test", "--group1", g1, "--group2", g2, "--t2", "3"],
+        "simulate": ["simulate", "--suite", "table1", "--nsim", "2",
+                     "--B", "9", "--cells", "n=50,l1=0,l2=0",
+                     "--workers", "1"],
+        "validate-weights": ["validate-weights", "--scheme", "efron",
+                             "--m", "4", "--draws", "10000"],
+    }
+
+
+def test_cli_manifest_config_holds_command_options(tmp_path):
+    columns = {"entry_col", "exit_col", "status_col"}
+    expected = {
+        "estimate": {"input", "horizon"} | columns,
+        "test": {"group1", "group2", "method", "rho", "t1", "t2", "alpha",
+                 "B"} | columns,
+        "simulate": {"suite", "workers", "nsim", "B", "alpha", "t1", "t2",
+                     "cells"},
+        "validate-weights": {"scheme", "m", "draws"},
+    }
+    for command, argv in _command_argvs(tmp_path).items():
+        out = tmp_path / command
+        assert main(argv + ["--seed", "3", "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert set(man["config"]) == expected[command] | {"seed", "out"}
+        assert man["config"]["seed"] == man["seed"] == 3
+        assert man["config"]["out"] == str(out)
+
+
+def test_cli_negative_seed_rejected(tmp_path, capsys):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed=-5\n")
+    for command, argv in _command_argvs(tmp_path).items():
+        for k, how in enumerate((["--seed", "-5"], ["--config", str(cfg)])):
+            out = tmp_path / f"{command}-{k}"
+            assert main(argv + how + ["--out", str(out)]) == 2, (command, how)
+            assert "seed must be >= 0, got -5" in capsys.readouterr().err
+            assert not (out / "manifest.json").exists()
 
 
 # ------------------------------------------------------------- estimate

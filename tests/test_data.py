@@ -256,6 +256,30 @@ def test_ingest_csv_short_row_and_blank_code(tmp_path):
         cb.ingest_csv(path)
 
 
+def test_ingest_csv_ignores_byte_order_mark(tmp_path):
+    # spreadsheet programs save UTF-8 CSVs with a leading BOM; it must not
+    # hide the first column name
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeffentry,exit,status\n0.5,1,1\n0.2,2,2\n",
+                    encoding="utf-8")
+    assert cb.ingest_csv(path).entry.tolist() == [0.5, 0.2]
+    path.write_text("\ufeffexit,status\n1,1\n2,0\n", encoding="utf-8")
+    assert cb.ingest_csv(path).exit.tolist() == [1.0, 2.0]
+
+
+def test_ingest_csv_rejects_duplicated_column(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("exit,status,exit\n1,1,2\n")
+    with pytest.raises(cb.DataError, match=r"duplicated column 'exit' in .*dup\.csv"):
+        cb.ingest_csv(path)
+    path.write_text("entry,exit,status,entry\n0,1,1,0\n")
+    with pytest.raises(cb.DataError, match="duplicated column 'entry'"):
+        cb.ingest_csv(path)
+    # columns the reader does not use may repeat
+    path.write_text("note,exit,status,note\na,1,1,b\nc,2,0,d\n")
+    assert cb.ingest_csv(path).exit.tolist() == [1.0, 2.0]
+
+
 @st.composite
 def csv_samples(draw, scale):
     """Subjects written as CSV text: random column order, custom status

@@ -159,6 +159,17 @@ def test_scenario_config_validation():
         ScenarioConfig(**ok, alpha=0.0)
 
 
+def test_scenario_test_config():
+    ok = dict(model1=Group1Exp(), model2=ConstantPair(1.0), n1=10, n2=10)
+    cf = ScenarioConfig(**ok, interval=(0.25, 1.0), alpha=0.1, B=49)
+    assert cf.test_config == cb.TestConfig(t1=0.25, t2=1.0, alpha=0.1, B=49)
+    # the window, alpha and B are checked once, by TestConfig
+    with pytest.raises(cb.DataError, match="B must be >= 1"):
+        ScenarioConfig(**ok, B=0)
+    with pytest.raises(cb.DataError, match="need 0 <= t1 < t2"):
+        ScenarioConfig(**ok, interval=(1.0, 1.0))
+
+
 def test_scenario_id_ignores_n_sim():
     base = ScenarioConfig(model1=Group1Exp(), model2=ConstantPair(0.5),
                           n1=20, n2=30, censor_rates=(0.5, 1.0), n_sim=100)
