@@ -21,9 +21,9 @@ from .resampling import (BAYESIAN, EFRON, IID_WEIGHTED, WILD_CUSTOM,
 from .rng import fresh_seed, substream
 from .simulation import (ConstantPair, Group1Exp, HazardModel,
                          MonteCarloReport, PiecewiseConstant, ScenarioConfig,
-                         draw_panel, run_scenario, suite_configs, table_suite)
+                         draw_panel, run_scenario, suite_configs)
 from .stepfun import CONSTANT_ONE, CovarianceSurface, StepFunction
-from .twosample import (NumericalError, PooledZ, PreparedTest, ReplicateBlock,
+from .twosample import (NumericalError, PreparedTest, ReplicateBlock,
                         TestConfig, TestResult, bootstrap_critical_value,
                         bootstrap_statistic, bootstrap_variance, critical_rank,
                         effective_window, integral_statistic, pooled_z,

@@ -221,7 +221,7 @@ def parse_rho(spec: str) -> StepFunction:
             raise DataError(f"bad rho entry {part!r}") from None
     if not times or times[0] != 0.0:
         raise DataError("rho table must start at time 0")
-    if any(b <= a for a, b in zip(times, times[1:])):
+    if not all(b > a for a, b in zip(times, times[1:])):
         raise DataError("rho table times must be strictly increasing")
     return StepFunction(np.asarray(times[1:]), np.asarray(values[1:]),
                         initial_value=values[0])
@@ -341,7 +341,7 @@ def cmd_simulate(opts: dict, args: argparse.Namespace):
             row.insert(0, format_float(cf.c_value))
         lines.append(",".join(row))
         cells_json.append({
-            "scenario_id": rep.scenario_id,
+            "scenario_id": cf.scenario_id,
             "models": [cf.model1.tag, cf.model2.tag],
             "c": cf.c_value,
             "n1": cf.n1,

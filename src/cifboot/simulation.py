@@ -14,8 +14,10 @@ add integer counts, so results are identical for any worker count.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import repeat
 from statistics import NormalDist
 
 import numpy as np
@@ -220,13 +222,12 @@ class MonteCarloReport:
     and ``all_degenerate_phi_e``/``_phi_w`` the datasets whose Efron or
     wild replicates were all degenerate (a dataset can have both).
     ``degenerate_*`` and ``truncated_phi_e`` sum the replicate diagnostics
-    (:class:`ReplicateBlock`) over all datasets.
-    ``runtime`` is wall-clock seconds and is the one field excluded from
-    reproducibility comparisons.
+    (:class:`ReplicateBlock`) over all datasets.  Every field between
+    ``config`` and ``runtime`` is a tally.  ``runtime`` is wall-clock
+    seconds and is the one field excluded from reproducibility comparisons.
     """
 
     config: ScenarioConfig
-    scenario_id: str
     reject_phi_n: int
     reject_phi_w: int
     reject_phi_e: int
@@ -255,17 +256,16 @@ class MonteCarloReport:
         return {m: self.rate(m) for m in (PHI_N, PHI_W, PHI_E)}
 
 
-def _run_range(config: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
-    """Run replicates lo..hi-1; return counts (phi_n, phi_W, phi_E, errors),
-    replicate diagnostics (degenerate Efron, wild; truncated Efron) and
-    errors by cause (degenerate window; all Efron, all wild degenerate)."""
+def _run_range(config: ScenarioConfig, lo: int, hi: int) -> Counter:
+    """Run datasets lo..hi-1; return their tallies, each under the name of
+    the :class:`MonteCarloReport` field it adds to."""
     tconf = config.test_config
     efron = WeightScheme(EFRON)
     wild = WeightScheme(WILD_NORMAL)
     normal_crit = NormalDist().inv_cdf(1.0 - config.alpha)
     l1, l2 = config.censor_rates
     sid = config.scenario_id
-    counts = np.zeros(10, dtype=np.int64)
+    tally = Counter()
 
     for r in range(lo, hi):
         rng_data = substream(config.seed, sid, r, "data")
@@ -275,29 +275,27 @@ def _run_range(config: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
         try:
             prep = prepare_test(panel1, panel2, tconf)
         except DataError:
-            counts[[3, 7]] += 1
+            tally.update(error_count=1, degenerate_windows=1)
             continue
         stud = prep.studentized
-        counts[0] += stud > normal_crit
+        tally["reject_phi_n"] += stud > normal_crit
 
         # Efron first, then wild, off the shared per-dataset weight stream
-        eblock = replicate_block(prep.pooled, efron, config.B, rng_weights)
-        wblock = replicate_block(prep.pooled, wild, config.B, rng_weights)
-        counts[4:7] += eblock.degenerate, wblock.degenerate, eblock.truncated
-        for slot, block in ((2, eblock), (1, wblock)):
+        eblock = replicate_block(prep, efron, config.B, rng_weights)
+        wblock = replicate_block(prep, wild, config.B, rng_weights)
+        tally.update(degenerate_phi_e=eblock.degenerate,
+                     degenerate_phi_w=wblock.degenerate,
+                     truncated_phi_e=eblock.truncated)
+        for method, block in (("phi_e", eblock), ("phi_w", wblock)):
             if block.degenerate < config.B:
-                counts[slot] += stud > bootstrap_critical_value(
+                tally["reject_" + method] += stud > bootstrap_critical_value(
                     block.studentized, config.alpha)
-        all_e = eblock.degenerate == config.B
-        all_w = wblock.degenerate == config.B
-        counts[3] += all_e or all_w
-        counts[8:] += all_e, all_w
+            else:
+                tally["all_degenerate_" + method] += 1
+        tally["error_count"] += config.B in (eblock.degenerate,
+                                             wblock.degenerate)
 
-    return counts
-
-
-def _run_range_star(args) -> np.ndarray:
-    return _run_range(*args)
+    return tally
 
 
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloReport:
@@ -305,22 +303,23 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloReport:
 
     ``workers`` > 1 distributes replicate ranges over a process pool; the
     substream-per-replicate design makes the aggregate independent of the
-    split.
+    split.  A count below 1 is a :class:`DataError`.
     """
+    if workers < 1:
+        raise DataError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
-    if workers <= 1 or config.n_sim < 4:
-        counts = _run_range(config, 0, config.n_sim)
+    if workers == 1 or config.n_sim < 4:
+        tally = _run_range(config, 0, config.n_sim)
     else:
         edges = np.linspace(0, config.n_sim, min(4 * workers, config.n_sim) + 1,
                             dtype=int)
-        jobs = [(config, int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])
-                if b > a]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(_run_range_star, jobs))
-    # _run_range's counts are laid out in the report's field order
-    return MonteCarloReport(config, config.scenario_id,
-                            *(int(c) for c in counts),
-                            runtime=time.perf_counter() - start)
+            tally = sum(pool.map(_run_range, repeat(config), edges[:-1],
+                                 edges[1:]), Counter())
+    return MonteCarloReport(
+        config, runtime=time.perf_counter() - start,
+        **{f.name: tally[f.name] for f in fields(MonteCarloReport)
+           if f.name not in ("config", "runtime")})
 
 
 TABLE1_SIZES = ((50, 50), (50, 100), (100, 100))
@@ -361,9 +360,19 @@ def suite_configs(which: str, *, n_sim: int = 1000, B: int = 999,
     return configs
 
 
+# --cells key -> the config values that must all equal the filter value
+_CELL_KEYS = {
+    "c": lambda cf: (cf.c_value,),
+    "n": lambda cf: (cf.n1, cf.n2),
+    "n1": lambda cf: (cf.n1,),
+    "n2": lambda cf: (cf.n2,),
+    "l1": lambda cf: cf.censor_rates[:1],
+    "l2": lambda cf: cf.censor_rates[1:],
+}
+
+
 def parse_cells(spec_str: str) -> dict[str, float]:
     """Parse a cell filter like "c=0.5,n=100" into a key-value dict."""
-    allowed = {"c", "n", "n1", "n2", "l1", "l2"}
     out = {}
     for part in spec_str.split(","):
         part = part.strip()
@@ -371,9 +380,9 @@ def parse_cells(spec_str: str) -> dict[str, float]:
             continue
         key, sep, val = part.partition("=")
         key = key.strip()
-        if not sep or key not in allowed:
+        if not sep or key not in _CELL_KEYS:
             raise DataError(f"bad cell filter term {part!r} "
-                            f"(keys: {', '.join(sorted(allowed))})")
+                            f"(keys: {', '.join(sorted(_CELL_KEYS))})")
         try:
             out[key] = float(val)
         except ValueError:
@@ -382,26 +391,5 @@ def parse_cells(spec_str: str) -> dict[str, float]:
 
 
 def scenario_matches(config: ScenarioConfig, wanted: dict[str, float]) -> bool:
-    for key, val in wanted.items():
-        if key == "c":
-            if config.c_value is None or config.c_value != val:
-                return False
-        elif key == "n":
-            if not (config.n1 == val and config.n2 == val):
-                return False
-        elif key == "n1" and config.n1 != val:
-            return False
-        elif key == "n2" and config.n2 != val:
-            return False
-        elif key == "l1" and config.censor_rates[0] != val:
-            return False
-        elif key == "l2" and config.censor_rates[1] != val:
-            return False
-    return True
-
-
-def table_suite(which: str, *, workers: int = 1,
-                **overrides) -> list[MonteCarloReport]:
-    """Run a whole table's scenario grid and return one report per cell."""
-    return [run_scenario(cf, workers=workers)
-            for cf in suite_configs(which, **overrides)]
+    return all(value == val for key, val in wanted.items()
+               for value in _CELL_KEYS[key](config))

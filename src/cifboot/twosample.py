@@ -43,8 +43,8 @@ class NumericalError(RuntimeError):
 class TestConfig:
     """Window, weight function and resampling settings for a two-sample test.
 
-    ``rho`` is a positive piecewise-constant weight function on the window
-    (None means constant 1).  ``scheme`` and ``B`` only matter for the
+    ``rho`` is a finite, positive piecewise-constant weight function on the
+    window with finite jump times (None means constant 1).  ``scheme`` and ``B`` only matter for the
     bootstrap test; ``seed`` feeds its weight generator when no explicit
     generator is passed.
     """
@@ -65,9 +65,12 @@ class TestConfig:
         if self.B < 1:
             raise DataError(f"B must be >= 1, got {self.B}")
         if self.rho is not None:
+            if not np.all(np.isfinite(self.rho.jump_times)):
+                raise DataError("rho jump times must be finite")
             _, vals = self.rho.segments(self.t1, self.t2)
-            if not np.all(vals > 0):
-                raise DataError("rho must be positive everywhere on [t1, t2]")
+            if not np.all((vals > 0) & np.isfinite(vals)):
+                raise DataError(
+                    "rho must be finite and positive everywhere on [t1, t2]")
 
     @property
     def rho_or_one(self) -> StepFunction:
@@ -110,13 +113,15 @@ class TestResult:
 
 
 @dataclass(frozen=True, eq=False)
-class PooledZ:
-    """Signed per-entry window integrals of the pooled two-group Z functions.
+class PreparedTest:
+    """One prepared dataset: the signed per-entry window integrals of the
+    pooled two-group Z functions, with T_n and V_n^2 computed from them.
 
     ``integrals`` has length 2(n1 + n2): group 1's cause-1 slots, group 1's
     cause-2 slots, then group 2's slots with flipped sign (the statistic
     subtracts group 2 from group 1).  Censored subjects and jumps outside
-    the window contribute zeros.
+    the window contribute zeros.  The asymptotic and bootstrap tests share
+    this one precomputation.
     """
 
     n1: int
@@ -125,6 +130,8 @@ class PooledZ:
     t2: float
     requested_t2: float
     integrals: np.ndarray = field(repr=False)
+    statistic: float
+    variance: float
 
     def __post_init__(self):
         self.integrals.setflags(write=False)
@@ -141,39 +148,12 @@ class PooledZ:
         return None
 
     @property
-    def n(self) -> int:
-        return self.n1 + self.n2
-
-    @property
     def size(self) -> int:
-        return 2 * self.n
+        return 2 * (self.n1 + self.n2)
 
     @property
     def kappa(self) -> float:
-        return math.sqrt(self.n1 * self.n2 / self.n)
-
-    def variance_vn(self) -> float:
-        """V_n^2, the rho-weighted double integral of the pooled covariance.
-
-        The pooled plug-in covariance surface is the sum over entries of
-        Z_l(s) Z_l(t) scaled by n1 n2 / n, so its double integral collapses
-        to the sum of squared per-entry integrals.  The two group partial
-        sums are kept separate so a group swap reproduces the value bit for
-        bit.
-        """
-        split = 2 * self.n1  # boundary between group-1 and group-2 entries
-        i1 = self.integrals[:split]
-        i2 = self.integrals[split:]
-        return float(self.kappa**2 * (np.sum(i1 * i1) + np.sum(i2 * i2)))
-
-
-@dataclass(frozen=True, eq=False)
-class PreparedTest:
-    """Shared precomputation for the asymptotic and bootstrap tests."""
-
-    pooled: PooledZ
-    statistic: float
-    variance: float
+        return math.sqrt(self.n1 * self.n2 / (self.n1 + self.n2))
 
     @property
     def vn_zero(self) -> bool:
@@ -253,27 +233,45 @@ def _tn(tab1: PluginTables, tab2: PluginTables, t1: float, t2: float,
 
 
 def pooled_z(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
-             config: TestConfig) -> PooledZ:
-    """The pooled signed Z-integral vector for a pair of panels."""
-    return _prepare(panel1, panel2, config).pooled
+             config: TestConfig) -> PreparedTest:
+    """The window integrals, T_n and V_n^2 of a pair of panels.
+
+    V_n^2 is the rho-weighted double integral of the pooled plug-in
+    covariance, the sum over entries of Z_l(s) Z_l(t) scaled by
+    kappa^2 = n1 n2 / n, so it collapses to the sum of squared per-entry
+    integrals.  The two group partial sums are kept separate so a group
+    swap reproduces the value bit for bit.
+    """
+    t1, t2 = effective_window(panel1, panel2, config)
+    tab1 = plugin_tables(panel1)
+    tab2 = plugin_tables(panel2)
+    rho = config.rho_or_one
+    i1 = _group_integrals(tab1, panel1, t1, t2, rho, +1.0)
+    i2 = _group_integrals(tab2, panel2, t1, t2, rho, -1.0)
+    kappa = math.sqrt(panel1.n * panel2.n / (panel1.n + panel2.n))
+    return PreparedTest(
+        n1=panel1.n, n2=panel2.n, t1=t1, t2=t2, requested_t2=config.t2,
+        integrals=np.concatenate((i1, i2)),
+        statistic=_tn(tab1, tab2, t1, t2, rho, kappa),
+        variance=float(kappa**2 * (np.sum(i1 * i1) + np.sum(i2 * i2))))
 
 
 def integral_statistic(panel1: CountingProcessPanel,
                        panel2: CountingProcessPanel,
                        config: TestConfig) -> float:
     """T_n: the rho-weighted window integral of the estimate difference."""
-    return _prepare(panel1, panel2, config).statistic
+    return pooled_z(panel1, panel2, config).statistic
 
 
 def variance_vn(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
                 config: TestConfig) -> float:
     """V_n^2: the plug-in variance of T_n."""
-    return _prepare(panel1, panel2, config).variance
+    return pooled_z(panel1, panel2, config).variance
 
 
 def prepare_test(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
                  config: TestConfig) -> PreparedTest:
-    """Compute the shared ingredients of both tests once.
+    """:func:`pooled_z` behind the tests' two-subjects-per-group guard.
 
     Simulation loops use this with :func:`replicate_block` to run the
     asymptotic and bootstrap tests off a single precomputation.
@@ -281,25 +279,7 @@ def prepare_test(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
     for panel in (panel1, panel2):
         if panel.n < 2:
             raise DataError("two-sample tests need at least 2 subjects per group")
-    return _prepare(panel1, panel2, config)
-
-
-def _prepare(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
-             config: TestConfig) -> PreparedTest:
-    # prepare_test without its group-size guard, which the plain
-    # functionals above (pooled_z, integral_statistic, variance_vn) lack
-    t1, t2 = effective_window(panel1, panel2, config)
-    tab1 = plugin_tables(panel1)
-    tab2 = plugin_tables(panel2)
-    rho = config.rho_or_one
-    pooled = PooledZ(
-        n1=panel1.n, n2=panel2.n, t1=t1, t2=t2, requested_t2=config.t2,
-        integrals=np.concatenate((
-            _group_integrals(tab1, panel1, t1, t2, rho, +1.0),
-            _group_integrals(tab2, panel2, t1, t2, rho, -1.0))))
-    tn = _tn(tab1, tab2, t1, t2, rho, pooled.kappa)
-    return PreparedTest(pooled=pooled, statistic=tn,
-                        variance=pooled.variance_vn())
+    return pooled_z(panel1, panel2, config)
 
 
 def test_phi_n(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
@@ -328,15 +308,15 @@ def _result(prep: PreparedTest, config: TestConfig, method: str,
         p_value=p_value,
         reject=prep.studentized > crit,
         alpha=config.alpha,
-        interval=(prep.pooled.t1, prep.pooled.t2),
-        truncated=prep.pooled.truncated,
-        warning=prep.pooled.warning,
+        interval=(prep.t1, prep.t2),
+        truncated=prep.truncated,
+        warning=prep.warning,
         vn_zero=prep.vn_zero,
         **bootstrap,
     )
 
 
-def _replicate_kernel(pooled: PooledZ, wi, vi2, vi=None):
+def _replicate_kernel(pooled: PreparedTest, wi, vi2, vi=None):
     """T* and V*^2 from wi = w.I, vi2 = v.I^2 and, for the correction term,
     vi = v.I, with w and v rows of a weight block or single vectors.
 
@@ -353,14 +333,14 @@ def _replicate_kernel(pooled: PooledZ, wi, vi2, vi=None):
     return tstar, np.maximum(vstar, 0.0), truncated
 
 
-def _vector(pooled: PooledZ, values, what: str) -> np.ndarray:
+def _vector(pooled: PreparedTest, values, what: str) -> np.ndarray:
     vec = np.asarray(values, dtype=float)
     if vec.shape != (pooled.size,):
         raise DataError(f"need {pooled.size} {what}, got shape {vec.shape}")
     return vec
 
 
-def bootstrap_statistic(z_pooled: PooledZ, weights, *,
+def bootstrap_statistic(z_pooled: PreparedTest, weights, *,
                         centered: bool = True) -> float:
     """T_n*: the resampled statistic for one pooled weight vector.
 
@@ -375,7 +355,7 @@ def bootstrap_statistic(z_pooled: PooledZ, weights, *,
     return float(tstar)
 
 
-def bootstrap_variance(z_pooled: PooledZ, v_weights, *,
+def bootstrap_variance(z_pooled: PreparedTest, v_weights, *,
                        include_xi: bool = True) -> float:
     """V_n*^2: the resampled variance for one nonnegative v-weight vector.
 
@@ -405,7 +385,7 @@ class ReplicateBlock:
     truncated: int = 0
 
 
-def replicate_block(pooled: PooledZ, scheme: WeightScheme, B: int,
+def replicate_block(pooled: PreparedTest, scheme: WeightScheme, B: int,
                     rng: np.random.Generator) -> ReplicateBlock:
     """Generate B studentized bootstrap replicates as vectorized blocks.
 
@@ -492,7 +472,7 @@ def test_phi_star(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
     prep = prepare_test(panel1, panel2, config)
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    block = replicate_block(prep.pooled, config.scheme, config.B, rng)
+    block = replicate_block(prep, config.scheme, config.B, rng)
     if block.degenerate == config.B:
         raise NumericalError(
             f"all {config.B} bootstrap replicates have zero variance; "

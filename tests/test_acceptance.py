@@ -408,7 +408,7 @@ def test_criterion_7_null_pivotality():
         studs[r] = prep.studentized
         if r < 1000:
             rng_w = substream(seed, "acceptance;pivotal", r, "weights")
-            block = twosample.replicate_block(prep.pooled, scheme, 999, rng_w)
+            block = twosample.replicate_block(prep, scheme, 999, rng_w)
             crit = twosample.bootstrap_critical_value(block.studentized, 0.05)
             if (prep.studentized > normal_crit) != (prep.studentized > crit):
                 disagreements += 1

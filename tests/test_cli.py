@@ -56,7 +56,8 @@ def test_parse_rho():
     rho = parse_rho("0:1,0.75:2")
     assert rho(0.5) == 1.0 and rho(0.75) == 2.0
     assert parse_rho("0:3.5")(10.0) == 3.5
-    for bad in ("1:2", "0:1,0.5", "0:1,0.5:2,0.5:3", "0:x"):
+    for bad in ("1:2", "0:1,0.5", "0:1,0.5:2,0.5:3", "0:x", "0:1,nan:2",
+                "0:1,1:2,nan:3"):
         with pytest.raises(cb.DataError):
             parse_rho(bad)
 
@@ -339,6 +340,18 @@ def test_cli_rho_flag(tmp_path):
     assert b["studentized"] == a["studentized"]
 
 
+def test_cli_non_finite_rho_rejected(tmp_path, capsys):
+    g1, g2 = write_samples(tmp_path)
+    for method in ("asymptotic", "efron", "wild"):
+        for rho in ("0:inf", "0:1,0.5:inf", "0:1,nan:2"):
+            out = tmp_path / "o"
+            assert main(["test", "--group1", g1, "--group2", g2, "--t2", "3",
+                         "--method", method, "--B", "19", "--rho", rho,
+                         "--seed", "5", "--out", str(out)]) == 2
+            assert "error: rho" in capsys.readouterr().err
+            assert not (out / "result.json").exists()
+
+
 # ------------------------------------------------------------- simulate
 
 def test_cli_simulate_table1_cell(tmp_path):
@@ -381,6 +394,16 @@ def test_cli_simulate_table2_filter(tmp_path):
     assert lines[0] == "c,n1,n2,l1,l2,phi_n,phi_W,phi_E"
     assert len(lines) == 3
     assert all(row.startswith("0.5,100,100,") for row in lines[1:])
+
+
+def test_cli_simulate_rejects_worker_counts_below_one(tmp_path, capsys):
+    for workers in ("0", "-2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["simulate", "--suite", "table1", "--nsim", "4",
+                     "--B", "19", "--cells", "n=50,l1=0", "--seed", "1",
+                     "--workers", workers, "--out", str(out)]) == 2
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
 
 def test_cli_simulate_empty_filter(tmp_path, capsys):

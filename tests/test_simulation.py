@@ -7,8 +7,8 @@ import pytest
 import cifboot as cb
 from cifboot.simulation import (PHI_E, PHI_N, PHI_W, ConstantPair, Group1Exp,
                                 PiecewiseConstant, ScenarioConfig, draw_panel,
-                                parse_cells, run_scenario, scenario_matches,
-                                suite_configs, table_suite, _run_range)
+                                MonteCarloReport, parse_cells, run_scenario,
+                                scenario_matches, suite_configs, _run_range)
 
 
 class FixedExponentials:
@@ -196,7 +196,6 @@ def test_run_scenario_is_deterministic():
     b = run_scenario(config)
     assert (a.reject_phi_n, a.reject_phi_w, a.reject_phi_e, a.error_count) \
         == (b.reject_phi_n, b.reject_phi_w, b.reject_phi_e, b.error_count)
-    assert a.scenario_id == config.scenario_id
 
 
 def test_run_scenario_worker_count_is_invisible():
@@ -207,18 +206,27 @@ def test_run_scenario_worker_count_is_invisible():
     assert serial.error_count == parallel.error_count
 
 
+def test_run_scenario_rejects_worker_counts_below_one():
+    for workers in (0, -2):
+        with pytest.raises(cb.DataError, match="workers must be >= 1"):
+            run_scenario(fast_config(), workers=workers)
+
+
 def test_replicate_ranges_compose():
     config = fast_config()
     whole = _run_range(config, 0, 40)
     parts = _run_range(config, 0, 17) + _run_range(config, 17, 40)
-    np.testing.assert_array_equal(whole, parts)
+    assert whole == parts
+    # every tally is named after the report field it adds to
+    tallies = {f.name for f in dataclasses.fields(MonteCarloReport)}
+    assert whole and set(whole) <= tallies - {"config", "runtime"}
 
 
 def test_shorter_run_is_a_prefix():
     config = fast_config()
     short = _run_range(config, 0, 15)
     prefix = _run_range(dataclasses.replace(config, n_sim=15), 0, 15)
-    np.testing.assert_array_equal(short, prefix)
+    assert short == prefix
 
 
 def test_error_datasets_counted_not_rejected():
@@ -244,10 +252,11 @@ def test_replicate_diagnostics_are_worker_invariant_sums():
         assert serial == parallel
         assert serial.degenerate_phi_e > 0 and serial.degenerate_phi_w > 0
         parts = [_run_range(config, lo, hi) for lo, hi in ((0, 5), (5, 24))]
-        assert (serial.degenerate_phi_e, serial.degenerate_phi_w,
-                serial.truncated_phi_e, serial.degenerate_windows,
-                serial.all_degenerate_phi_e,
-                serial.all_degenerate_phi_w) == tuple(sum(parts)[4:])
+        summed = parts[0] + parts[1]
+        for name in ("degenerate_phi_e", "degenerate_phi_w", "truncated_phi_e",
+                     "degenerate_windows", "all_degenerate_phi_e",
+                     "all_degenerate_phi_w"):
+            assert getattr(serial, name) == summed[name]
         # the causes split error_count; a dataset can count under both
         # schemes
         window, by_e, by_w = (serial.degenerate_windows,
@@ -307,13 +316,11 @@ def test_scenario_matches_keys():
     cf = suite_configs("table2", cells="c=0.9")[0]
     assert scenario_matches(cf, {"c": 0.9})
     assert not scenario_matches(cf, {"c": 0.8})
-    assert not scenario_matches(
-        suite_configs("table1")[0], {"c": 1.0}) or True  # c=1 cells do match c
+    null = suite_configs("table1")[0]  # table1's cells have c = 1
+    assert scenario_matches(null, {"c": 1.0})
+    assert not scenario_matches(null, {"c": 0.9})
     assert scenario_matches(cf, {})
-
-
-def test_table_suite_runs_filtered_cells():
-    reports = table_suite("table1", n_sim=4, B=19, seed=3,
-                          cells="n1=50,n2=100,l1=0,l2=0")
-    assert len(reports) == 1
-    assert reports[0].config.n1 == 50 and reports[0].config.n2 == 100
+    # "n" asks for n1 and n2 both
+    got = suite_configs("table1", cells="n=50")
+    assert len(got) == 5
+    assert all((cf.n1, cf.n2) == (50, 50) for cf in got)

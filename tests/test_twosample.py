@@ -54,6 +54,18 @@ def test_config_validation():
     # the same rho is fine when the window stops before the zero segment
     cfg = cb.TestConfig(t2=1.0, rho=flat)
     assert cfg.rho_or_one is flat
+    # non-finite values on the window or non-finite jump times never reach
+    # the statistic as NaN
+    for jumps, values, initial in (([], [], math.inf), ([0.5], [math.inf], 1.0),
+                                   ([0.5], [math.nan], 1.0),
+                                   ([math.nan], [2.0], 1.0),
+                                   ([math.inf], [2.0], 1.0)):
+        rho = cb.StepFunction(np.array(jumps), np.array(values), initial)
+        with pytest.raises(cb.DataError, match="rho"):
+            cb.TestConfig(t2=1.0, rho=rho)
+    # an infinite value after the window is never integrated
+    late = cb.StepFunction(np.array([5.0]), np.array([math.inf]), 1.0)
+    assert cb.TestConfig(t2=1.0, rho=late).rho is late
     assert cb.TestConfig().rho_or_one(0.3) == 1.0
 
 
@@ -630,7 +642,7 @@ def test_power_reference_matches_package_construction():
         prep = twosample.prepare_test(
             cb.compile_panel_arrays(np.zeros(reference.N1), e1, s1),
             cb.compile_panel_arrays(np.zeros(reference.N2), e2, s2), cfg)
-        np.testing.assert_allclose(integrals, prep.pooled.integrals,
+        np.testing.assert_allclose(integrals, prep.integrals,
                                    rtol=0, atol=1e-15)
         assert t_n == pytest.approx(prep.statistic, rel=1e-13, abs=1e-15)
         assert v_n == pytest.approx(prep.variance, rel=1e-13)
@@ -642,18 +654,18 @@ def test_power_reference_matches_package_construction():
         w_t, w_v = reference.wild_replicates(integrals, g)
         for k in range(5):
             assert e_t[k] == pytest.approx(
-                cb.bootstrap_statistic(prep.pooled, counts[k] - 1.0),
+                cb.bootstrap_statistic(prep, counts[k] - 1.0),
                 rel=1e-12, abs=1e-14)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                want_v = cb.bootstrap_variance(prep.pooled, counts[k])
+                want_v = cb.bootstrap_variance(prep, counts[k])
             assert max(e_v[k], 0.0) == pytest.approx(want_v, rel=1e-11,
                                                      abs=1e-14)
             assert w_t[k] == pytest.approx(
-                cb.bootstrap_statistic(prep.pooled, g[k], centered=False),
+                cb.bootstrap_statistic(prep, g[k], centered=False),
                 rel=1e-12, abs=1e-14)
             assert w_v[k] == pytest.approx(
-                cb.bootstrap_variance(prep.pooled, g[k] ** 2, include_xi=False),
+                cb.bootstrap_variance(prep, g[k] ** 2, include_xi=False),
                 rel=1e-12)
 
 
