@@ -325,7 +325,11 @@ def cmd_simulate(opts: dict, args: argparse.Namespace):
     if not configs:
         raise DataError("the cell filter matched no scenarios")
 
-    reports = [run_scenario(cf, workers=opts["workers"]) for cf in configs]
+    reports = []
+    for cf in configs:
+        reports.append(run_scenario(cf, workers=opts["workers"]))
+        print(f"cell {len(reports)}/{len(configs)} done: {cf.n_sim} datasets, "
+              f"{cf.n_sim / reports[-1].runtime:.1f} datasets/s", file=sys.stderr)
 
     with_c = suite == "table2"
     header = ("c," if with_c else "") + "n1,n2,l1,l2,phi_n,phi_W,phi_E"

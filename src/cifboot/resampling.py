@@ -85,31 +85,39 @@ def draw_weights(scheme: WeightScheme, rows: int, m: int,
     if scheme.kind == EFRON:
         # a row's tallies of m uniform labels are its Multinomial(m, 1/m)
         # counts: O(m) per row, no binomial splitting
-        labels = (rng.integers(0, m, size=(rows, m))
-                  + m * np.arange(rows)[:, None])
+        labels = rng.integers(0, m, size=(rows, m))
+        labels += m * np.arange(rows)[:, None]
         counts = np.bincount(labels.ravel(), minlength=rows * m)
+        del labels
         return counts.reshape(rows, m) - 1.0
     if scheme.kind == WILD_NORMAL:
         return rng.standard_normal((rows, m))
     if scheme.kind == WILD_POISSON:
-        return rng.poisson(1.0, (rows, m)).astype(float) - 1.0
+        w = rng.poisson(1.0, (rows, m)).astype(float)
+        w -= 1.0
+        return w
     if scheme.kind == BAYESIAN:
         eta = rng.standard_exponential((rows, m))
-        return eta / eta.mean(axis=1, keepdims=True) - 1.0
+        eta /= eta.mean(axis=1, keepdims=True)
+        eta -= 1.0
+        return eta
     # wild-custom and iid-weighted: the sampler contract is one vector per call
+    # each vector is copied into its row, so a sampler may reuse one buffer
     sampler = scheme.sampler if scheme.kind == WILD_CUSTOM else scheme.eta_sampler
-    draws = []
-    for _ in range(rows):
-        draws.append(np.asarray(sampler(rng, m), dtype=float))
-        if draws[-1].shape != (m,):
+    w = np.empty((rows, m))
+    for row in w:
+        draw = np.asarray(sampler(rng, m), dtype=float)
+        if draw.shape != (m,):
             raise DataError(f"{scheme.kind} sampler returned wrong shape")
-    w = np.array(draws).reshape(rows, m)
+        row[:] = draw
     if scheme.kind == WILD_CUSTOM:
         return w
     if np.any(w <= 0):
         raise DataError("iid-weighted eta draws must be positive")
-    c_eta = scheme.sigma_eta / scheme.mu_eta
-    return (w / w.mean(axis=1, keepdims=True) - 1.0) / c_eta
+    w /= w.mean(axis=1, keepdims=True)
+    w -= 1.0
+    w /= scheme.sigma_eta / scheme.mu_eta
+    return w
 
 
 def row_chunks(rows: int, m: int):
@@ -242,11 +250,15 @@ def validate_weight_conditions(scheme: WeightScheme, m: int, draws: int,
                 ("max_scaled", "variance", "fourth", "cross_g6", "cross_g7")}
 
     for sl, take in row_chunks(draws, m):
-        w = draw_weights(scheme, take, m, rng)
-        c = w - w.mean(axis=1, keepdims=True)
-        s2 = np.sum(c**2, axis=1)
-        s4 = np.sum(c**4, axis=1)
-        per_draw["max_scaled"][sl] = np.max(np.abs(c), axis=1) / np.sqrt(m)
+        # one weight block and one squared block per chunk, both worked in
+        # place; the fourth power squares the squares, as c**4 would call
+        # libm pow once per element
+        c = draw_weights(scheme, take, m, rng)
+        c -= c.mean(axis=1, keepdims=True)
+        c2 = np.square(c)
+        s2 = np.sum(c2, axis=1)
+        s4 = np.sum(np.square(c2, out=c2), axis=1)
+        per_draw["max_scaled"][sl] = np.max(np.abs(c, out=c), axis=1) / np.sqrt(m)
         per_draw["variance"][sl] = s2 / m
         per_draw["fourth"][sl] = s4 / m
         # symmetrized estimators of E[c1^2 c2 c3] and E[c1 c2 c3 c4] over
@@ -255,6 +267,7 @@ def validate_weight_conditions(scheme: WeightScheme, m: int, draws: int,
         denom4 = denom3 * (m - 3)
         per_draw["cross_g6"][sl] = half * (2.0 * s4 - s2**2) / denom3
         per_draw["cross_g7"][sl] = half**2 * (3.0 * s2**2 - 6.0 * s4) / denom4
+        del c, c2  # freed before the next chunk is drawn
 
     def entry(name, target=None, note=None):
         vals = per_draw[name]

@@ -385,7 +385,7 @@ def test_cli_simulate_table1_cell(tmp_path):
     assert len(man["cell_runtimes_seconds"]) == 1
 
 
-def test_cli_simulate_table2_filter(tmp_path):
+def test_cli_simulate_table2_filter(tmp_path, capsys):
     out = tmp_path / "res"
     assert main(["simulate", "--suite", "table2", "--nsim", "4", "--B", "19",
                  "--seed", "4", "--cells", "c=0.5,n=100",
@@ -394,6 +394,14 @@ def test_cli_simulate_table2_filter(tmp_path):
     assert lines[0] == "c,n1,n2,l1,l2,phi_n,phi_W,phi_E"
     assert len(lines) == 3
     assert all(row.startswith("0.5,100,100,") for row in lines[1:])
+    # progress goes to stderr, one line per cell; stdout only names outputs
+    captured = capsys.readouterr()
+    progress = captured.err.splitlines()
+    assert [line.split(":")[0] for line in progress] == ["cell 1/2 done",
+                                                         "cell 2/2 done"]
+    assert all(line.endswith(" datasets/s") and ": 4 datasets, " in line
+               for line in progress)
+    assert all(line.startswith("wrote ") for line in captured.out.splitlines())
 
 
 def test_cli_simulate_rejects_worker_counts_below_one(tmp_path, capsys):

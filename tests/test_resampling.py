@@ -84,13 +84,23 @@ def test_multinomial_counts_single():
 
 def test_draw_weights_block_matches_row_by_row():
     # a block is the stack of one-row draws, bit for bit, and leaves the
-    # generator where the one-row draws leave it, so chunking is invisible
+    # generator where the one-row draws leave it, so chunking is invisible;
+    # it is a fresh writable array (the moment pass centres it in place),
+    # also when a custom sampler refills one shared buffer
     m, rows = 7, 40
-    for scheme in ALL_SCHEMES:
+    buffer = np.empty(m)
+
+    def refill(rng, m):
+        buffer[:] = rng.uniform(-1.5, 1.5, m)
+        return buffer
+
+    for scheme in ALL_SCHEMES + (cb.WeightScheme(WILD_CUSTOM, sampler=refill),):
         rng_block, rng_rows = np.random.default_rng(11), np.random.default_rng(11)
         block = draw_weights(scheme, rows, m, rng_block)
         stacked = np.stack([one_row(scheme, m, rng_rows) for _ in range(rows)])
         assert block.shape == (rows, m), scheme.kind
+        assert block.flags.owndata and block.flags.writeable, scheme.kind
+        assert not np.shares_memory(block, buffer)
         np.testing.assert_array_equal(block, stacked, err_msg=scheme.kind)
         assert rng_block.bit_generator.state == rng_rows.bit_generator.state
 
@@ -278,15 +288,20 @@ def test_validate_weight_conditions_guards():
 
 
 def test_validate_weight_conditions_efron_moments():
+    m = 8
     rng = np.random.default_rng(101)
-    report = cb.validate_weight_conditions(cb.WeightScheme(EFRON), 8, 20_000, rng)
+    report = cb.validate_weight_conditions(cb.WeightScheme(EFRON), m, 20_000, rng)
     var = report["centered_variance"]
     # multinomial counts have Var(M_i - 1) = 1 - 1/m and mean exactly 1
-    assert abs(var["estimate"] - (1 - 1 / 8)) < 6 * var["mc_se"]
+    assert abs(var["estimate"] - (1 - 1 / m)) < 6 * var["mc_se"]
     assert var["target"] == 1.0
-    assert report["m"] == 8 and report["draws"] == 20_000
-    for key in ("max_scaled_weight", "fourth_central_moment",
-                "scaled_cross_moment_squares", "scaled_cross_moment_product"):
+    assert report["m"] == m and report["draws"] == 20_000
+    # M_i ~ Binomial(m, 1/m): mu4 = npq (1 + 3 (n - 2) pq)
+    fourth = report["fourth_central_moment"]
+    mu4 = (1 - 1 / m) * (1 + 3 * (m - 2) * (m - 1) / m**2)
+    assert abs(fourth["estimate"] - mu4) < 6 * fourth["mc_se"]
+    for key in ("max_scaled_weight", "scaled_cross_moment_squares",
+                "scaled_cross_moment_product"):
         assert np.isfinite(report[key]["estimate"])
 
 
@@ -297,6 +312,9 @@ def test_validate_weight_conditions_wild_normal_moments():
     var = report["centered_variance"]
     # centering iid N(0,1) costs one degree of freedom
     assert abs(var["estimate"] - 15 / 16) < 6 * var["mc_se"]
+    # a centred weight is N(0, 1 - 1/m), so its fourth moment is 3 (1 - 1/m)^2
+    fourth = report["fourth_central_moment"]
+    assert abs(fourth["estimate"] - 3 * (15 / 16) ** 2) < 6 * fourth["mc_se"]
     # centered Gaussian weights have cov -1/m off the diagonal, so by
     # Isserlis (m/2)^2 E[c1 c2 c3 c4] = 3/4 and
     # (m/2) E[c1^2 c2 c3] = -(1 - 3/m)/2 exactly
@@ -304,3 +322,35 @@ def test_validate_weight_conditions_wild_normal_moments():
     assert abs(g7["estimate"] - 0.75) < 6 * g7["mc_se"]
     g6 = report["scaled_cross_moment_squares"]
     assert abs(g6["estimate"] + (1 - 3 / 16) / 2) < 6 * g6["mc_se"]
+
+
+def test_validate_weight_conditions_matches_textbook_formulas():
+    # the report centres, squares and takes |c| in place; recompute it from
+    # an identically seeded block with the literal c**2, c**4 and abs(c):
+    # the variance and the maximum are the same operations (bit for bit),
+    # the fourth power is (c^2)^2 instead of pow(c, 4) (rounding only)
+    m, draws = 8, 10_000
+    for kind in (EFRON, WILD_NORMAL, WILD_POISSON, BAYESIAN):
+        scheme = cb.WeightScheme(kind)
+        report = cb.validate_weight_conditions(scheme, m, draws,
+                                               np.random.default_rng(17))
+        w = draw_weights(scheme, draws, m, np.random.default_rng(17))
+        c = w - w.mean(axis=1, keepdims=True)
+        s2, s4 = np.sum(c**2, axis=1), np.sum(c**4, axis=1)
+        denom3 = m * (m - 1) * (m - 2)
+        per_draw = {
+            "max_scaled_weight": np.max(np.abs(c), axis=1) / np.sqrt(m),
+            "centered_variance": s2 / m,
+            "fourth_central_moment": s4 / m,
+            "scaled_cross_moment_squares": (m / 2) * (2 * s4 - s2**2) / denom3,
+            "scaled_cross_moment_product":
+                (m / 2) ** 2 * (3 * s2**2 - 6 * s4) / (denom3 * (m - 3)),
+        }
+        for key, vals in per_draw.items():
+            got = [report[key]["estimate"], report[key]["mc_se"]]
+            want = [vals.mean(), vals.std(ddof=1) / np.sqrt(draws)]
+            if key in ("max_scaled_weight", "centered_variance"):
+                assert got == want, (kind, key)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0,
+                                           err_msg=f"{kind} {key}")
