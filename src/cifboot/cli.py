@@ -286,24 +286,21 @@ def cmd_test(opts: dict, args: argparse.Namespace):
         alpha=opts["alpha"],
         B=opts["B"],
         scheme=WeightScheme(EFRON if method == "efron" else WILD_NORMAL),
-        seed=seed,
     )
     panel1 = compile_panel(_load_sample(opts["group1"], opts))
     panel2 = compile_panel(_load_sample(opts["group2"], opts))
 
-    save_reps = args.save_replicates
     if method == "asymptotic":
         result = test_phi_n(panel1, panel2, config)
     else:
         rng = substream(seed, f"test;{method};B={config.B}", 0, "weights")
-        result = test_phi_star(panel1, panel2, config, rng=rng,
-                               keep_replicates=save_reps)
+        result = test_phi_star(panel1, panel2, config, rng=rng)
     if result.warning:
         print(f"warning: {result.warning}", file=sys.stderr)
 
     outputs = [_write(os.path.join(out, "result.json"),
                       render_json(result_dict(result)))]
-    if save_reps and result.replicates is not None:
+    if args.save_replicates and result.replicates is not None:
         lines = ["t_stud_star"] + [format_float(float(v))
                                    for v in result.replicates]
         outputs.append(_write(os.path.join(out, "replicates.csv"),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CountingProcessPanel
-from .stepfun import CovarianceSurface, StepFunction
+from .stepfun import StepFunction
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,9 +157,11 @@ def xi_hat(panel: CountingProcessPanel) -> StepFunction:
     return _step(tab.times, vals, inc != 0.0, 0.0)
 
 
-def zeta_hat(panel: CountingProcessPanel, n: int | None = None,
-             grid: np.ndarray | None = None) -> CovarianceSurface:
-    """Plug-in covariance surface of the normalized Aalen-Johansen process.
+def zeta_hat(panel: CountingProcessPanel,
+             grid: np.ndarray | None = None) -> np.ndarray:
+    """Plug-in covariance of the normalized Aalen-Johansen process, as the
+    (G, G) matrix of its values at the points of ``grid`` (default: the
+    panel's grid times).
 
     For s1 <= s2 the surface accumulates, over event times u <= s1,
 
@@ -171,8 +173,6 @@ def zeta_hat(panel: CountingProcessPanel, n: int | None = None,
     determine the whole surface; the dense matrix below is that exact sum,
     just evaluated through the factorization.
     """
-    if n is None:
-        n = panel.n
     if grid is None:
         grid = panel.times
     grid = np.asarray(grid, dtype=float)
@@ -180,8 +180,8 @@ def zeta_hat(panel: CountingProcessPanel, n: int | None = None,
         raise ValueError("grid must be a strictly increasing 1-d array")
 
     tab = plugin_tables(panel)
-    w1 = float(n) * tab.d1 / tab.at_risk**2
-    w2 = float(n) * tab.d2 / tab.at_risk**2
+    w1 = float(panel.n) * tab.d1 / tab.at_risk**2
+    w2 = float(panel.n) * tab.d2 / tab.at_risk**2
     a0 = np.concatenate(([0.0], np.cumsum(tab.s2_left**2 * w1 + tab.f1_left**2 * w2)))
     a1 = np.concatenate(([0.0], np.cumsum(tab.s2_left * w1 + tab.f1_left * w2)))
     a2 = np.concatenate(([0.0], np.cumsum(w1 + w2)))
@@ -190,10 +190,9 @@ def zeta_hat(panel: CountingProcessPanel, n: int | None = None,
     idx = np.searchsorted(tab.times, grid, side="right")
     f1g = f1_pad[idx]
     lo = np.minimum.outer(idx, idx)
-    values = (a0[lo]
-              - a1[lo] * np.add.outer(f1g, f1g)
-              + a2[lo] * np.outer(f1g, f1g))
-    return CovarianceSurface(grid=grid, values=values)
+    return (a0[lo]
+            - a1[lo] * np.add.outer(f1g, f1g)
+            + a2[lo] * np.outer(f1g, f1g))
 
 
 def _check_cause(cause: int):

@@ -166,15 +166,6 @@ def build_z(panel: CountingProcessPanel) -> ZArray:
                   f1=aalen_johansen(panel, 1))
 
 
-@dataclass(frozen=True, eq=False)
-class BootstrapDraw:
-    """One realized bootstrap process on a requested grid."""
-
-    weights: np.ndarray = field(repr=False)
-    grid: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-
 def _entry_sum_on_grid(z: ZArray, w: np.ndarray, grid) -> np.ndarray:
     """sum_l w_l Z_l(s) per grid point s.
 
@@ -190,8 +181,9 @@ def _entry_sum_on_grid(z: ZArray, w: np.ndarray, grid) -> np.ndarray:
 
 
 def wild_process(panel: CountingProcessPanel, multipliers: np.ndarray,
-                 grid) -> BootstrapDraw:
-    """Wild bootstrap version of the normalized Aalen-Johansen process.
+                 grid) -> np.ndarray:
+    """Wild bootstrap version of the normalized Aalen-Johansen process, at
+    each point of ``grid``.
 
     One multiplier per subject, applied to that subject's single jump
     (censored subjects have none, their multiplier is unused):
@@ -206,12 +198,12 @@ def wild_process(panel: CountingProcessPanel, multipliers: np.ndarray,
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
 
     g2 = np.concatenate((multipliers, multipliers))  # entry i and n+i belong to subject i
-    values = np.sqrt(panel.n) * _entry_sum_on_grid(build_z(panel), g2, grid)
-    return BootstrapDraw(weights=multipliers, grid=grid, values=values)
+    return np.sqrt(panel.n) * _entry_sum_on_grid(build_z(panel), g2, grid)
 
 
-def weighted_process(z: ZArray, weights: np.ndarray, grid) -> BootstrapDraw:
-    """Exchangeably weighted bootstrap process sqrt(2n) sum w_i (Z_i - Zbar).
+def weighted_process(z: ZArray, weights: np.ndarray, grid) -> np.ndarray:
+    """Exchangeably weighted bootstrap process sqrt(2n) sum w_i (Z_i - Zbar),
+    at each point of ``grid``.
 
     Centering is applied through w - wbar, which is algebraically identical
     and cancels any constant component of the weights (exactly so when the
@@ -224,8 +216,7 @@ def weighted_process(z: ZArray, weights: np.ndarray, grid) -> BootstrapDraw:
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
 
     centered = weights - weights.mean()
-    values = np.sqrt(z.size) * _entry_sum_on_grid(z, centered, grid)
-    return BootstrapDraw(weights=weights, grid=grid, values=values)
+    return np.sqrt(z.size) * _entry_sum_on_grid(z, centered, grid)
 
 
 def validate_weight_conditions(scheme: WeightScheme, m: int, draws: int,

@@ -13,6 +13,7 @@ add integer counts, so results are identical for any worker count.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -301,7 +302,8 @@ def _run_range(config: ScenarioConfig, lo: int, hi: int) -> Counter:
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloReport:
     """Run one scenario's full Monte Carlo loop.
 
-    ``workers`` > 1 distributes replicate ranges over a process pool; the
+    ``workers`` > 1 splits the replicates into up to ``4 * workers`` ranges and
+    runs them on a process pool of at most one process per CPU; the
     substream-per-replicate design makes the aggregate independent of the
     split.  A count below 1 is a :class:`DataError`.
     """
@@ -313,7 +315,8 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloReport:
     else:
         edges = np.linspace(0, config.n_sim, min(4 * workers, config.n_sim) + 1,
                             dtype=int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+                max_workers=min(workers, os.cpu_count() or 1)) as pool:
             tally = sum(pool.map(_run_range, repeat(config), edges[:-1],
                                  edges[1:]), Counter())
     return MonteCarloReport(

@@ -1,4 +1,4 @@
-"""Right-continuous step functions and piecewise-constant covariance surfaces.
+"""Right-continuous step functions.
 
 Every estimator in this package is a step function: it holds its initial
 value up to the first jump time and the value recorded for the last jump at
@@ -77,37 +77,3 @@ class StepFunction:
 
 
 CONSTANT_ONE = StepFunction(np.array([]), np.array([]), 1.0)
-
-
-@dataclass(frozen=True, eq=False)
-class CovarianceSurface:
-    """Piecewise-constant bivariate function on grid x grid.
-
-    Evaluation uses the last grid point at or before each coordinate; the
-    surface is 0 when either coordinate lies before the first grid point.
-    """
-
-    grid: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (grid.size, grid.size):
-            raise ValueError("values must be a square matrix matching the grid")
-        if grid.size and not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", vals)
-        grid.setflags(write=False)
-        vals.setflags(write=False)
-
-    def value(self, s1: float, s2: float) -> float:
-        i = int(np.searchsorted(self.grid, s1, side="right")) - 1
-        j = int(np.searchsorted(self.grid, s2, side="right")) - 1
-        if i < 0 or j < 0:
-            return 0.0
-        return float(self.values[i, j])
-
-    def max_asymmetry(self) -> float:
-        return float(np.max(np.abs(self.values - self.values.T))) if self.values.size else 0.0

@@ -20,7 +20,6 @@ literal rectangle double sums.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -44,9 +43,8 @@ class TestConfig:
     """Window, weight function and resampling settings for a two-sample test.
 
     ``rho`` is a finite, positive piecewise-constant weight function on the
-    window with finite jump times (None means constant 1).  ``scheme`` and ``B`` only matter for the
-    bootstrap test; ``seed`` feeds its weight generator when no explicit
-    generator is passed.
+    window with finite jump times (None means constant 1).  ``scheme`` and
+    ``B`` only matter for the bootstrap test.
     """
 
     t1: float = 0.0
@@ -55,7 +53,6 @@ class TestConfig:
     alpha: float = 0.05
     B: int = 999
     scheme: WeightScheme = field(default_factory=lambda: WeightScheme(EFRON))
-    seed: int | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.t1 < self.t2):
@@ -86,7 +83,8 @@ class TestResult:
     have subjects at risk; ``truncated``/``warning`` report when that
     intersection bit.  For bootstrap tests, ``degenerate_replicates`` counts
     replicates whose variance was not positive (their studentized value is
-    0) and ``truncated_variances`` counts negative variances clipped to 0.
+    0), ``truncated_variances`` counts negative variances clipped to 0 and
+    ``replicates`` holds the B studentized replicates.
     """
 
     method: str
@@ -232,16 +230,22 @@ def _tn(tab1: PluginTables, tab2: PluginTables, t1: float, t2: float,
     return float(kappa * np.sum(rho_v * (f1a - f1b) * dt))
 
 
-def pooled_z(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
-             config: TestConfig) -> PreparedTest:
-    """The window integrals, T_n and V_n^2 of a pair of panels.
+def prepare_test(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
+                 config: TestConfig) -> PreparedTest:
+    """The window integrals, T_n and V_n^2 of a pair of panels, each of at
+    least two subjects.
 
     V_n^2 is the rho-weighted double integral of the pooled plug-in
     covariance, the sum over entries of Z_l(s) Z_l(t) scaled by
     kappa^2 = n1 n2 / n, so it collapses to the sum of squared per-entry
     integrals.  The two group partial sums are kept separate so a group
-    swap reproduces the value bit for bit.
+    swap reproduces the value bit for bit.  Simulation loops use this with
+    :func:`replicate_block` to run the asymptotic and bootstrap tests off a
+    single precomputation.
     """
+    for panel in (panel1, panel2):
+        if panel.n < 2:
+            raise DataError("two-sample tests need at least 2 subjects per group")
     t1, t2 = effective_window(panel1, panel2, config)
     tab1 = plugin_tables(panel1)
     tab2 = plugin_tables(panel2)
@@ -254,32 +258,6 @@ def pooled_z(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
         integrals=np.concatenate((i1, i2)),
         statistic=_tn(tab1, tab2, t1, t2, rho, kappa),
         variance=float(kappa**2 * (np.sum(i1 * i1) + np.sum(i2 * i2))))
-
-
-def integral_statistic(panel1: CountingProcessPanel,
-                       panel2: CountingProcessPanel,
-                       config: TestConfig) -> float:
-    """T_n: the rho-weighted window integral of the estimate difference."""
-    return pooled_z(panel1, panel2, config).statistic
-
-
-def variance_vn(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
-                config: TestConfig) -> float:
-    """V_n^2: the plug-in variance of T_n."""
-    return pooled_z(panel1, panel2, config).variance
-
-
-def prepare_test(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
-                 config: TestConfig) -> PreparedTest:
-    """:func:`pooled_z` behind the tests' two-subjects-per-group guard.
-
-    Simulation loops use this with :func:`replicate_block` to run the
-    asymptotic and bootstrap tests off a single precomputation.
-    """
-    for panel in (panel1, panel2):
-        if panel.n < 2:
-            raise DataError("two-sample tests need at least 2 subjects per group")
-    return pooled_z(panel1, panel2, config)
 
 
 def test_phi_n(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
@@ -361,18 +339,15 @@ def bootstrap_variance(z_pooled: PreparedTest, v_weights, *,
 
     With the correction term (``include_xi=True``, the Efron convention
     v = multinomial counts) the result can turn slightly negative in finite
-    samples; it is then truncated to 0 with a warning.  Wild multipliers use
-    v = G^2 and no correction.
+    samples; it is then clipped to 0, as in :func:`replicate_block`.  Wild
+    multipliers use v = G^2 and no correction.
     """
     v = _vector(z_pooled, v_weights, "v-weights")
     if np.any(v < 0):
         raise DataError("v-weights must be nonnegative")
     i = z_pooled.integrals
-    _, vstar, truncated = _replicate_kernel(
+    _, vstar, _ = _replicate_kernel(
         z_pooled, 0.0, v @ (i * i), v @ i if include_xi else None)
-    if truncated:
-        warnings.warn("negative resampled variance truncated to 0",
-                      RuntimeWarning, stacklevel=2)
     return float(vstar)
 
 
@@ -460,18 +435,17 @@ def bootstrap_critical_value(replicates: np.ndarray, alpha: float) -> float:
 
 
 def test_phi_star(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
-                  config: TestConfig, *, rng: np.random.Generator | None = None,
-                  keep_replicates: bool = False) -> TestResult:
+                  config: TestConfig, *,
+                  rng: np.random.Generator) -> TestResult:
     """Bootstrap one-sided test: compare T_n/V_n against the replicate
     order statistic of rank ceil((1 - alpha)(B + 1)).
 
     The p-value is (1 + #{replicates >= studentized}) / (B + 1).  With every
     replicate degenerate there is no resampling distribution to compare
-    against, which raises :class:`NumericalError`.
+    against, which raises :class:`NumericalError`.  ``rng`` draws the
+    bootstrap weights.
     """
     prep = prepare_test(panel1, panel2, config)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     block = replicate_block(prep, config.scheme, config.B, rng)
     if block.degenerate == config.B:
         raise NumericalError(
@@ -487,5 +461,5 @@ def test_phi_star(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
         scheme=config.scheme.kind,
         degenerate_replicates=block.degenerate,
         truncated_variances=block.truncated,
-        replicates=block.studentized if keep_replicates else None,
+        replicates=block.studentized,
     )

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 
 import cifboot as cb
 from cifboot.estimators import plugin_tables
+from cifboot.simulation import Group1Exp, draw_panel
 
 import oracles
 from conftest import build_panel, brute_from_panel, event_subjects, subjects
@@ -122,29 +123,26 @@ def test_zeta_hat_matches_exact_rational_route(subs):
     panel = build_panel(subs)
     bt = brute_from_panel(panel)
     surf = cb.zeta_hat(panel)
-    for s1 in panel.times:
-        for s2 in panel.times:
+    for i, s1 in enumerate(panel.times):
+        for j, s2 in enumerate(panel.times):
             exact = oracles.brute_zeta(bt, panel.n, Fraction(s1), Fraction(s2))
-            assert surf.value(float(s1), float(s2)) == pytest.approx(
-                float(exact), abs=1e-12)
+            assert surf[i, j] == pytest.approx(float(exact), abs=1e-12)
 
 
 def test_zeta_hat_is_exactly_symmetric():
     panel = build_panel([(0, 2, 1), (0, 3, 2), (0, 5, 1), (0, 8, 2), (0, 9, 0)])
     surf = cb.zeta_hat(panel)
-    assert surf.max_asymmetry() == 0.0
+    np.testing.assert_array_equal(surf, surf.T)
 
 
-def test_zeta_hat_custom_grid_and_scale():
+def test_zeta_hat_custom_grid():
     panel = build_panel(HAND)
-    full = cb.zeta_hat(panel)
-    coarse = cb.zeta_hat(panel, grid=np.array([1.5, 2.5]))
-    # grid points between jumps pick up the value at the last jump
-    assert coarse.value(1.5, 2.5) == full.value(1.0, 2.0)
-    assert coarse.value(1.4, 1.4) == 0.0
-    # n rescales the whole surface linearly
-    doubled = cb.zeta_hat(panel, n=6)
-    np.testing.assert_allclose(doubled.values, 2.0 * full.values, rtol=1e-15)
+    full = cb.zeta_hat(panel)  # on the grid times 1, 2, 3
+    coarse = cb.zeta_hat(panel, grid=np.array([0.5, 1.5, 2.5]))
+    # grid points between jumps pick up the value at the last jump, and
+    # the covariance is 0 before the first one
+    assert coarse[1, 2] == full[0, 1]
+    np.testing.assert_array_equal(coarse[0], 0.0)
     with pytest.raises(ValueError, match="grid"):
         cb.zeta_hat(panel, grid=np.array([2.0, 1.0]))
 
@@ -152,8 +150,8 @@ def test_zeta_hat_custom_grid_and_scale():
 def test_zeta_hat_hand_value():
     # one event: zeta(s,s) for s >= 1 is n * (S2(1-) - F1(s))^2 * d1 / Y^2
     panel = build_panel([(0, 2, 1), (0, 4, 0)])
-    surf = cb.zeta_hat(panel)
-    assert surf.value(1.0, 1.0) == pytest.approx(2 * (1 - 0.5) ** 2 / 4, abs=1e-15)
+    surf = cb.zeta_hat(panel, grid=np.array([1.0]))
+    assert surf[0, 0] == pytest.approx(2 * (1 - 0.5) ** 2 / 4, abs=1e-15)
 
 
 def test_xi_hat_hand_value():
@@ -163,3 +161,75 @@ def test_xi_hat_hand_value():
     # t=3: add (1 - 1/3 - 1/2) * (1/3) * 1/1 = 1/18
     assert xi(1.0) == pytest.approx(1 / 3, abs=1e-15)
     assert xi(3.0) == pytest.approx(7 / 18, abs=1e-14)
+
+
+# ---------------------------------------------- covariances of the resampling
+#
+# Given the data, the resampled processes are weighted sums of the entry
+# functions Z_l, so their conditional covariances follow exactly from the
+# weight covariances: I for wild multipliers and I - 11'/m for Efron counts
+# over m = 2n entries.  With E the entries x grid matrix of Z_l(s), the wild
+# covariance n E'E is zeta_hat itself, and the Efron one is 2 zeta_hat - S S'
+# with S = E.sum(0) close to xi_hat.  No Monte Carlo is involved.
+
+def _random_panel(rng):
+    """A censored, left-truncated panel with tied times."""
+    n = int(rng.integers(5, 40))
+    entry = np.round(rng.uniform(0.0, 0.5, n), 1)
+    exit_ = entry + 0.1 + np.round(rng.exponential(1.0, n), 1)
+    return cb.compile_panel_arrays(entry, exit_, rng.integers(0, 3, n))
+
+
+def _close(got, want):
+    # relative to the largest entry: entries before the first event are 0
+    scale = np.max(np.abs(want))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_zeta_hat_is_the_wild_and_efron_conditional_covariance():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        panel = _random_panel(rng)
+        grid = np.sort(rng.uniform(0.0, 1.1 * panel.last_time, 9))
+        zeta = cb.zeta_hat(panel, grid)
+        z = cb.build_z(panel)
+        e = np.stack([z.evaluate(s) for s in grid], axis=1)
+        m = e.shape[0]
+        # wild: n * sum_l Z_l(s) Z_l(t)
+        _close(panel.n * (e.T @ e), zeta)
+        # Efron: m * E' Cov(counts) E, with Cov(counts) = I - 11'/m
+        s = e.sum(axis=0)
+        efron = m * (e.T @ e - np.outer(s, s) / m)
+        _close(efron, 2.0 * zeta - np.outer(s, s))
+
+
+def test_vn_is_the_window_integral_of_zeta_hat():
+    # V_n^2 = kappa^2 double integral of rho rho (zeta1/n1 + zeta2/n2) over
+    # the window: both surfaces are constant on the cells of the merged
+    # grid of grid times and rho jumps, so the integral is a finite sum
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        p1, p2 = _random_panel(rng), _random_panel(rng)
+        t1 = float(rng.uniform(0.0, 0.5))
+        rho = cb.StepFunction(np.sort(rng.uniform(0.0, 3.0, 2)),
+                              rng.uniform(0.5, 2.0, 2), 1.0)
+        cfg = cb.TestConfig(t1=t1, t2=float(rng.uniform(t1 + 0.5, 3.0)),
+                            rho=rho)
+        prep = cb.prepare_test(p1, p2, cfg)
+        pts = np.unique(np.concatenate(
+            ([prep.t1, prep.t2], p1.times, p2.times, rho.jump_times)))
+        pts = pts[(pts >= prep.t1) & (pts <= prep.t2)]
+        left = pts[:-1]
+        r = rho(left) * np.diff(pts)
+        cov = cb.zeta_hat(p1, left) / p1.n + cb.zeta_hat(p2, left) / p2.n
+        assert prep.variance == pytest.approx(prep.kappa**2 * (r @ cov @ r),
+                                              rel=1e-12)
+
+
+def test_entry_sum_approaches_xi_hat():
+    # S(0.75) - xi_hat(0.75) is O(1/n); the bound and seed were fixed
+    # before the first run
+    for n in (200, 2000, 20000):
+        panel = draw_panel(Group1Exp(), n, 0.0, np.random.default_rng(5))
+        s = cb.build_z(panel).evaluate(0.75).sum()
+        assert abs(s - cb.xi_hat(panel)(0.75)) <= 2.0 / n

@@ -221,11 +221,11 @@ def test_wild_process_matches_entry_sum():
     z = build_z(panel)
     g = np.array([1.0, -1.0, 2.0])
     grid = np.array([0.5, 1.0, 2.0, 3.0])
-    draw = wild_process(panel, g, grid)
+    values = wild_process(panel, g, grid)
     g2 = np.concatenate((g, g))
     expected = [np.sqrt(3) * float(g2 @ z.evaluate(s)) for s in grid]
-    np.testing.assert_allclose(draw.values, expected, rtol=1e-14, atol=1e-15)
-    assert draw.values[0] == 0.0  # before the first jump
+    np.testing.assert_allclose(values, expected, rtol=1e-14, atol=1e-15)
+    assert values[0] == 0.0  # before the first jump
 
 
 def test_wild_process_shape_check():
@@ -239,11 +239,11 @@ def test_weighted_process_constant_weights_vanish():
     z = build_z(panel)
     # integer constants have an exactly representable mean, so the centered
     # weights and the whole process are exactly zero
-    draw = weighted_process(z, np.full(6, 4.0), np.array([1.0, 2.0, 3.0]))
-    np.testing.assert_array_equal(draw.values, 0.0)
+    values = weighted_process(z, np.full(6, 4.0), np.array([1.0, 2.0, 3.0]))
+    np.testing.assert_array_equal(values, 0.0)
     # non-representable means still cancel to rounding error
-    draw = weighted_process(z, np.full(6, 3.7), np.array([1.0, 2.0, 3.0]))
-    np.testing.assert_allclose(draw.values, 0.0, atol=1e-14)
+    values = weighted_process(z, np.full(6, 3.7), np.array([1.0, 2.0, 3.0]))
+    np.testing.assert_allclose(values, 0.0, atol=1e-14)
 
 
 def test_weighted_process_matches_entry_sum():
@@ -252,10 +252,10 @@ def test_weighted_process_matches_entry_sum():
     rng = np.random.default_rng(42)
     w = one_row(cb.WeightScheme(EFRON), 6, rng)
     grid = np.array([1.0, 1.5, 3.0])
-    draw = weighted_process(z, w, grid)
+    values = weighted_process(z, w, grid)
     c = w - w.mean()
     expected = [np.sqrt(6) * float(c @ z.evaluate(s)) for s in grid]
-    np.testing.assert_allclose(draw.values, expected, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(values, expected, rtol=1e-13, atol=1e-15)
 
 
 def test_weighted_process_centering_absorbs_shift():
@@ -267,7 +267,7 @@ def test_weighted_process_centering_absorbs_shift():
     grid = np.array([1.0, 2.0, 3.0])
     a = weighted_process(z, c, grid)
     b = weighted_process(z, c - 1.0, grid)
-    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_weighted_process_shape_check():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cifboot as cb
+from cifboot import simulation
 from cifboot.simulation import (PHI_E, PHI_N, PHI_W, ConstantPair, Group1Exp,
                                 PiecewiseConstant, ScenarioConfig, draw_panel,
                                 MonteCarloReport, parse_cells, run_scenario,
@@ -210,6 +211,33 @@ def test_run_scenario_rejects_worker_counts_below_one():
     for workers in (0, -2):
         with pytest.raises(cb.DataError, match="workers must be >= 1"):
             run_scenario(fast_config(), workers=workers)
+
+
+def test_run_scenario_pool_is_bounded_by_the_cpu_count(monkeypatch):
+    # no process is started: the pool is replaced by one that records its
+    # size and maps in this process
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    config = fast_config(n_sim=12)
+    serial = run_scenario(config, workers=1)
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", InProcessPool)
+    for cpus, workers in ((3, 5000), (3, 2), (None, 5000)):
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
+        assert run_scenario(config, workers=workers) == serial
+    assert sizes == [3, 2, 1]
 
 
 def test_replicate_ranges_compose():

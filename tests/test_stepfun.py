@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cifboot.stepfun import CONSTANT_ONE, CovarianceSurface, StepFunction
+from cifboot.stepfun import CONSTANT_ONE, StepFunction
 
 
 def make(jumps, values, initial=0.0):
@@ -103,26 +103,3 @@ def test_left_limit_is_predecessor_value(jump_q, data):
     before = [v for j, v in zip(jumps, vals) if j / 2 < t]
     assert f.left_limit(t) == (before[-1] if before else -1.0)
 
-
-def test_surface_lookup_and_initial_zone():
-    grid = np.array([1.0, 2.0])
-    vals = np.array([[1.0, 2.0], [2.0, 4.0]])
-    surf = CovarianceSurface(grid, vals)
-    assert surf.value(0.5, 1.5) == 0.0
-    assert surf.value(1.0, 1.0) == 1.0
-    assert surf.value(1.5, 2.7) == 2.0
-    assert surf.value(2.0, 2.0) == 4.0
-    assert surf.max_asymmetry() == 0.0
-
-
-def test_surface_validation():
-    with pytest.raises(ValueError):
-        CovarianceSurface(np.array([1.0, 2.0]), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        CovarianceSurface(np.array([2.0, 1.0]), np.zeros((2, 2)))
-
-
-def test_surface_asymmetry_measure():
-    surf = CovarianceSurface(np.array([1.0, 2.0]),
-                             np.array([[0.0, 1.0], [1.5, 0.0]]))
-    assert surf.max_asymmetry() == 0.5
