@@ -67,10 +67,14 @@ def scheme_from_name(name: str) -> WeightScheme:
     return WeightScheme(name)
 
 
-# weight blocks are drawn in chunks of _CHUNK_ELEMS // m rows so peak memory
-# stays bounded; the chunk size must be a constant for reruns to be
-# bit-identical
-_CHUNK_ELEMS = 1 << 22
+# Every weight loop works in chunks of about _CHUNK_ELEMS entries (1 MiB of
+# float64), so a block and its companion (the squared block of the moment
+# pass, the gathered integrals of an Efron block) stay in a 2 MiB per-core L2
+# across the passes made over them.  A block far above L2 goes to DRAM on
+# every pass, and one at glibc's 32 MiB mmap ceiling is mapped afresh per
+# chunk.  The draws do not depend on the size; a wild block's BLAS row sums
+# do, in their last bits, so the size is one constant.
+_CHUNK_ELEMS = 1 << 17
 
 
 def draw_weights(scheme: WeightScheme, rows: int, m: int,
@@ -121,7 +125,9 @@ def draw_weights(scheme: WeightScheme, rows: int, m: int,
 
 
 def row_chunks(rows: int, m: int):
-    """Yield (row slice, row count) pairs covering ``rows`` m-wide rows."""
+    """Yield (row slice, row count) pairs covering ``rows`` rows of m
+    entries each, ``_CHUNK_ELEMS // m`` rows at a time (one row when a row
+    alone exceeds the budget)."""
     chunk = max(1, _CHUNK_ELEMS // m)
     for start in range(0, rows, chunk):
         take = min(chunk, rows - start)

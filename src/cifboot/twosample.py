@@ -388,10 +388,11 @@ def replicate_block(pooled: PreparedTest, scheme: WeightScheme, B: int,
     tstar, vstar = np.zeros(B), np.zeros(B)
     truncated = 0
     if k and scheme.kind == EFRON:
-        # all hit counts first, so the label draws do not depend on chunking
+        # all hit counts first, so the label draws do not depend on chunking;
+        # a replicate draws about k labels, so chunks are sized by k, not m
         hits = rng.binomial(m, k / m, size=B)
         total = inz.sum()
-        for sl, _ in row_chunks(B, m):
+        for sl, _ in row_chunks(B, k):
             h = hits[sl]
             g = inz[rng.integers(0, k, size=h.sum())]
             # reduceat gives g[start], not 0, for an empty row: skip those
@@ -442,15 +443,20 @@ def test_phi_star(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
 
     The p-value is (1 + #{replicates >= studentized}) / (B + 1).  With every
     replicate degenerate there is no resampling distribution to compare
-    against, which raises :class:`NumericalError`.  ``rng`` draws the
+    against, which raises :class:`NumericalError`; its message names the
+    cause, an eventless window or bad luck in a small B.  ``rng`` draws the
     bootstrap weights.
     """
     prep = prepare_test(panel1, panel2, config)
     block = replicate_block(prep, config.scheme, config.B, rng)
     if block.degenerate == config.B:
+        k = int(np.count_nonzero(prep.integrals))
+        cause = ("the data carry no events inside the window" if k == 0 else
+                 f"{k} of the {prep.size} window integrals are nonzero, but "
+                 f"no replicate drew a positive variance from them; a larger "
+                 f"B makes this unlikely")
         raise NumericalError(
-            f"all {config.B} bootstrap replicates have zero variance; "
-            f"the data carry no events inside the window")
+            f"all {config.B} bootstrap replicates have zero variance; {cause}")
 
     stud = prep.studentized
     p = (1 + int(np.count_nonzero(block.studentized >= stud))) / (config.B + 1)

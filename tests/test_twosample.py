@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 import cifboot as cb
 from cifboot import resampling, twosample
 from cifboot.resampling import (BAYESIAN, EFRON, WILD_CUSTOM, WILD_NORMAL,
-                                WILD_POISSON, build_z)
+                                WILD_POISSON, build_z, draw_weights)
 
 from cifboot.simulation import ConstantPair, Group1Exp, draw_panel
 
@@ -311,8 +311,25 @@ def test_eventless_window_bootstrap_is_degenerate():
     p1 = build_panel([(0, 6, 0), (0, 8, 0)])
     p2 = build_panel([(0, 6, 0), (0, 10, 0)])
     cfg = cb.TestConfig(t1=0.0, t2=2.0, B=19)
-    with pytest.raises(cb.NumericalError, match="zero variance"):
+    with pytest.raises(cb.NumericalError,
+                       match="zero variance; the data carry no events"):
         cb.test_phi_star(p1, p2, cfg, rng=np.random.default_rng(1))
+
+
+def test_degenerate_by_chance_error_does_not_blame_the_data():
+    # events inside the window, but 2 of 12 integrals are nonzero and the
+    # one Efron replicate at this seed draws no label on them (chance
+    # (10/12)^12 ~ 0.11): the asymptotic test finds the events
+    p1 = build_panel([(0, 1, 1), (0, 2, 2), (0, 3, 0)])
+    p2 = build_panel([(0, 1.5, 1), (0, 2.5, 2), (0, 3.5, 0)])
+    cfg = cb.TestConfig(t2=3.0, B=1)
+    assert not cb.test_phi_n(p1, p2, cfg).vn_zero
+    with pytest.raises(cb.NumericalError) as err:
+        cb.test_phi_star(p1, p2, cfg, rng=np.random.default_rng(3))
+    message = str(err.value)
+    assert "zero variance" in message
+    assert "no events" not in message
+    assert "window integrals are nonzero" in message
 
 
 def test_identical_samples_give_zero_statistic():
@@ -378,6 +395,113 @@ def test_replicate_block_chunking_is_invisible(monkeypatch):
                                               np.random.default_rng(4))
         monkeypatch.undo()
         assert big == small
+
+
+def _large_pair():
+    # k = 1,697 nonzero integrals of m = 6,000, so k * B at B = 199 spans
+    # several default chunks
+    rng = np.random.default_rng(21)
+    p1 = draw_panel(Group1Exp(), 1500, 1.0, rng)
+    p2 = draw_panel(ConstantPair(1.0), 1500, 1.0, rng)
+    return twosample.prepare_test(p1, p2, cb.TestConfig(t2=1.5))
+
+
+def _one_chunk(monkeypatch, rows, m):
+    monkeypatch.setattr(resampling, "_CHUNK_ELEMS", rows * m + 1)
+
+
+def test_replicate_block_default_chunks_match_one_chunk(monkeypatch):
+    pooled = _large_pair()
+    B, m = 199, pooled.size
+    k = int(np.count_nonzero(pooled.integrals))
+    assert k * B > 2 * resampling._CHUNK_ELEMS
+    # Efron rows are reduced one by one: bit for bit at any chunking
+    efron = cb.WeightScheme(EFRON)
+    chunked = twosample.replicate_block(pooled, efron, B, np.random.default_rng(8))
+    _one_chunk(monkeypatch, B, m)
+    whole = twosample.replicate_block(pooled, efron, B, np.random.default_rng(8))
+    monkeypatch.undo()
+    np.testing.assert_array_equal(chunked.studentized, whole.studentized)
+    assert (chunked.degenerate, chunked.truncated) == (whole.degenerate, whole.truncated)
+
+    # wild: the same multipliers and the same generator state at the end;
+    # BLAS row sums may differ in their last bits with the chunk's row count
+    def run(one_chunk):
+        blocks = []
+
+        def spy(scheme, rows, width, rng):
+            blocks.append(draw_weights(scheme, rows, width, rng))
+            return blocks[-1].copy()  # replicate_block squares it in place
+
+        monkeypatch.setattr(twosample, "draw_weights", spy)
+        if one_chunk:
+            _one_chunk(monkeypatch, B, m)
+        rng = np.random.default_rng(9)
+        block = twosample.replicate_block(pooled, cb.WeightScheme(WILD_NORMAL),
+                                          B, rng)
+        monkeypatch.undo()
+        return block, blocks, rng.bit_generator.state
+
+    chunked, chunked_g, chunked_state = run(False)
+    whole, whole_g, whole_state = run(True)
+    assert len(chunked_g) > 2 and len(whole_g) == 1
+    np.testing.assert_array_equal(np.concatenate(chunked_g), whole_g[0])
+    assert chunked_state == whole_state
+    # relative to the largest replicate: a row sum that cancels to near 0
+    # has no relative precision of its own
+    np.testing.assert_allclose(chunked.studentized, whole.studentized, rtol=1e-12,
+                               atol=1e-12 * np.abs(whole.studentized).max())
+    assert chunked.degenerate == whole.degenerate
+
+
+def test_validate_weights_default_chunks_match_one_chunk(monkeypatch):
+    m, draws = 100, 10_000
+    assert draws * m > 2 * resampling._CHUNK_ELEMS
+    for kind in (EFRON, WILD_NORMAL):
+        scheme = cb.WeightScheme(kind)
+        chunked = cb.validate_weight_conditions(scheme, m, draws,
+                                                np.random.default_rng(10))
+        _one_chunk(monkeypatch, draws, m)
+        whole = cb.validate_weight_conditions(scheme, m, draws,
+                                              np.random.default_rng(10))
+        monkeypatch.undo()
+        assert chunked == whole
+
+
+def test_weight_loops_keep_chunks_within_the_budget(monkeypatch):
+    seen = []
+    real = resampling.row_chunks
+
+    def spy(rows, width):
+        for sl, take in real(rows, width):
+            seen.append((width, take))
+            yield sl, take
+
+    monkeypatch.setattr(resampling, "row_chunks", spy)
+    monkeypatch.setattr(twosample, "row_chunks", spy)
+    budget = resampling._CHUNK_ELEMS
+    pooled = _large_pair()
+    k = int(np.count_nonzero(pooled.integrals))
+    B = 199
+    for kind in (EFRON, WILD_NORMAL, WILD_POISSON):
+        seen.clear()
+        twosample.replicate_block(pooled, cb.WeightScheme(kind), B,
+                                  np.random.default_rng(12))
+        # both schemes size their chunks by the k entries a replicate
+        # reads; an Efron replicate draws ~k labels, not m
+        assert {width for width, _ in seen} == {k}
+        assert sum(take for _, take in seen) == B
+        assert len(seen) > 1
+        assert all(take * width <= budget for width, take in seen)
+    for kind in (EFRON, WILD_NORMAL, BAYESIAN):
+        seen.clear()
+        cb.validate_weight_conditions(cb.WeightScheme(kind), 100, 10_000,
+                                      np.random.default_rng(13))
+        assert sum(take for _, take in seen) == 10_000
+        assert len(seen) > 1
+        assert all(take * width <= budget for width, take in seen)
+    # a row wider than the budget is a chunk of its own
+    assert [take for _, take in real(3, budget + 1)] == [1, 1, 1]
 
 
 # the sparse second pair leaves about a third of the Efron replicates
