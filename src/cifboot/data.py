@@ -9,6 +9,8 @@ times together with at-risk counts and cause-specific jump counts.
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -240,8 +242,14 @@ def ingest_csv(path, *, entry_col: str = "entry", exit_col: str = "exit",
     every error names a file line.  The checks run column by column (field
     count, exit, entry, status code, then the row check), so with several
     bad rows the first row failing the earliest check is the one named.
-    A leading byte-order mark is ignored; a header that names the entry,
-    exit or status column twice is an error.
+    The file must be UTF-8; a leading byte-order mark is ignored.  A header
+    that names the entry, exit or status column twice is an error, and so
+    is one name given to two of those roles.
+
+    The rows are parsed in one C pass (``np.loadtxt``).  Where that parse
+    fails, or its rows fail a check, the csv-module walk of
+    :func:`_walk_rows` reads them instead: it names the bad line, and it
+    also accepts what the C parser refuses (``1_000``, padded codes).
     """
     code_map = {censored_code: Status.CENSORED,
                 cause1_code: Status.CAUSE1,
@@ -249,30 +257,102 @@ def ingest_csv(path, *, entry_col: str = "entry", exit_col: str = "exit",
     if len(code_map) != 3:
         raise DataError("status codes must be three distinct values")
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        col = {name: j for j, name in enumerate(header)}
-        for name in (exit_col, status_col):
-            if name not in col:
-                raise DataError(f"missing required column {name!r} in {path}")
-        for name in (entry_col, exit_col, status_col):
-            if header.count(name) > 1:
-                raise DataError(f"duplicated column {name!r} in {path}")
-        need = 1 + max(col[name] for name in (entry_col, exit_col, status_col)
-                       if name in col)
-        rows, lines = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < need:
-                raise DataError(f"line {reader.line_num}: expected at least "
-                                f"{need} fields, got {len(row)}")
-            rows.append(row)
-            lines.append(reader.line_num)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start].decode("utf-8")
+        line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+        raise DataError(f"line {line}: invalid UTF-8 byte "
+                        f"0x{raw[exc.start]:02x} in {path}") from None
 
-    def floats(name):
-        text = [row[col[name]] for row in rows]
+    stream = io.StringIO(text, newline="")
+    reader = csv.reader(stream)
+    header = next(reader, [])
+    col = {name: j for j, name in enumerate(header)}
+    for name in (exit_col, status_col):
+        if name not in col:
+            raise DataError(f"missing required column {name!r} in {path}")
+    for name in (entry_col, exit_col, status_col):
+        if header.count(name) > 1:
+            raise DataError(f"duplicated column {name!r} in {path}")
+    if len({entry_col, exit_col, status_col}) != 3:
+        raise DataError(f"entry, exit and status must be three different "
+                        f"columns, got {entry_col!r}, {exit_col!r} and "
+                        f"{status_col!r}")
+    roles = {role: col[name] for role, name in (("entry", entry_col),
+                                                ("exit", exit_col),
+                                                ("status", status_col))
+             if name in col}
+
+    body = stream.tell()
+    if not any(c in s for s in (text, *code_map) for c in _WALK_ONLY):
+        sample = _parse_rows(stream, roles, code_map)
+        if sample is not None:
+            return sample
+        stream.seek(body)
+    return _walk_rows(reader, roles, code_map)
+
+
+# numpy strings drop trailing NULs, and numpy's C float parser skips
+# \x1c-\x1f as blanks where float() refuses them: only the walk reads these
+_WALK_ONLY = "\x00\x1c\x1d\x1e\x1f"
+
+
+def _parse_rows(stream, roles: dict[str, int],
+                code_map: dict[str, Status]) -> Sample | None:
+    """The rows after the header from one ``np.loadtxt`` call, or None where
+    the parse or a row check fails.
+
+    Status fields are read one character wider than the longest code, so a
+    longer field is cut to a string that matches no code.  A field matches
+    a code only when equal to it; a padded field is left to the walk, which
+    strips it.
+    """
+    width = 1 + max(map(len, code_map))
+    dtype = [(role, f"U{width}" if role == "status" else "f8")
+             for role in roles]
+    with warnings.catch_warnings():
+        # a body without rows warns; the walk accepts it silently
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            rows = np.loadtxt(stream, dtype=dtype, comments=None,
+                              delimiter=",", quotechar='"',
+                              usecols=list(roles.values()), ndmin=1)
+        except ValueError:
+            return None
+    status = np.full(len(rows), -1, dtype=np.int64)
+    for code, value in code_map.items():
+        if code == code.strip():  # a padded code matches no stripped field
+            status[rows["status"] == code] = value
+    exit_ = rows["exit"].copy()
+    entry = rows["entry"].copy() if "entry" in roles else np.zeros(len(rows))
+    if _first_bad_row(entry, exit_, status) is not None:
+        return None
+    return Sample(entry, exit_, status)
+
+
+def _walk_rows(reader, roles: dict[str, int],
+               code_map: dict[str, Status]) -> Sample:
+    """The rows after the header, read by the csv module one at a time.
+
+    This is the reference reading of the file: every error names the file
+    line (``reader.line_num``) of its row.
+    """
+    need = 1 + max(roles.values())
+    rows, lines = [], []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) < need:
+            raise DataError(f"line {reader.line_num}: expected at least "
+                            f"{need} fields, got {len(row)}")
+        rows.append(row)
+        lines.append(reader.line_num)
+
+    def floats(role):
+        text = [row[roles[role]] for row in rows]
         try:
             return np.array(text, dtype=float)
         except ValueError:
@@ -283,9 +363,9 @@ def ingest_csv(path, *, entry_col: str = "entry", exit_col: str = "exit",
                     raise DataError(f"line {lines[k]}: {exc}") from None
             raise
 
-    exit_ = floats(exit_col)
-    entry = floats(entry_col) if entry_col in col else np.zeros(len(rows))
-    codes = [row[col[status_col]].strip() for row in rows]
+    exit_ = floats("exit")
+    entry = floats("entry") if "entry" in roles else np.zeros(len(rows))
+    codes = [row[roles["status"]].strip() for row in rows]
     try:
         status = np.array([code_map[c] for c in codes], dtype=np.int64)
     except KeyError as exc:

@@ -8,6 +8,7 @@ arithmetic.  Tests compare package output against these.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -332,6 +333,91 @@ def brute_xi_hat(bt: BruteTables, s):
         total += (1 - bt.na1_left[k] - bt.na2_left[k]) * df1
     return total
 
+
+
+# ---------------------------------------------------------------------------
+# reference CSV reader: the csv-module row walk, frozen as the package read
+# files before its rows went through one C-level parse
+
+class ReferenceDataError(ValueError):
+    """What the reference reader raises where the package raises DataError."""
+
+
+def _reference_first_bad_row(entry, exit_, status):
+    checks = (
+        (np.isfinite(entry) & np.isfinite(exit_), "times must be finite"),
+        (entry >= 0.0, "entry time must be >= 0"),
+        (exit_ > entry, "exit must be strictly later than entry"),
+        ((status == 0) | (status == 1) | (status == 2), "status must be 0, 1 or 2"),
+    )
+    ok = np.logical_and.reduce([good for good, _ in checks])
+    if ok.all():
+        return None
+    i = int(np.argmin(ok))
+    why = next(msg for good, msg in checks if not good[i])
+    return i, f"{why}, got entry={entry[i]}, exit={exit_[i]}, status={status[i]}"
+
+
+def reference_ingest_csv(path, *, entry_col="entry", exit_col="exit",
+                         status_col="status", censored_code="0",
+                         cause1_code="1", cause2_code="2"):
+    """(entry, exit, status) read one row at a time with the csv module.
+
+    Status codes map to 0 (censored), 1 and 2; errors carry the package's
+    messages and name the file line.
+    """
+    code_map = {censored_code: 0, cause1_code: 1, cause2_code: 2}
+    if len(code_map) != 3:
+        raise ReferenceDataError("status codes must be three distinct values")
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        col = {name: j for j, name in enumerate(header)}
+        for name in (exit_col, status_col):
+            if name not in col:
+                raise ReferenceDataError(
+                    f"missing required column {name!r} in {path}")
+        for name in (entry_col, exit_col, status_col):
+            if header.count(name) > 1:
+                raise ReferenceDataError(f"duplicated column {name!r} in {path}")
+        need = 1 + max(col[name] for name in (entry_col, exit_col, status_col)
+                       if name in col)
+        rows, lines = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < need:
+                raise ReferenceDataError(f"line {reader.line_num}: expected at "
+                                         f"least {need} fields, got {len(row)}")
+            rows.append(row)
+            lines.append(reader.line_num)
+
+    def floats(name):
+        text = [row[col[name]] for row in rows]
+        try:
+            return np.array(text, dtype=float)
+        except ValueError:
+            for k, value in enumerate(text):
+                try:
+                    float(value)
+                except ValueError as exc:
+                    raise ReferenceDataError(f"line {lines[k]}: {exc}") from None
+            raise
+
+    exit_ = floats(exit_col)
+    entry = floats(entry_col) if entry_col in col else np.zeros(len(rows))
+    codes = [row[col[status_col]].strip() for row in rows]
+    try:
+        status = np.array([code_map[c] for c in codes], dtype=np.int64)
+    except KeyError as exc:
+        k = codes.index(exc.args[0])
+        raise ReferenceDataError(f"line {lines[k]}: unknown status code "
+                                 f"{exc.args[0]!r}") from None
+    bad = _reference_first_bad_row(entry, exit_, status)
+    if bad is not None:
+        raise ReferenceDataError(f"line {lines[bad[0]]}: {bad[1]}")
+    return entry, exit_, status
 
 # spot values for the group-1 law, cross-checked against the simplified
 # closed form xi(s) = int_0^s (1 - u) exp(-2u) du

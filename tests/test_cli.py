@@ -227,6 +227,23 @@ def test_estimate_missing_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+
+def test_estimate_undecodable_input(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"exit,status\n1,1\n2,\xe9\n")
+    assert main(["estimate", "--input", str(path), "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "line 3: invalid UTF-8 byte 0xe9" in err and "latin1.csv" in err
+
+
+def test_estimate_one_column_in_two_roles(tmp_path, capsys):
+    path = tmp_path / "g.csv"
+    path.write_text(HAND_CSV)
+    assert main(["estimate", "--input", str(path), "--seed", "1",
+                 "--exit-col", "status", "--out", str(tmp_path / "out")]) == 2
+    assert "three different columns" in capsys.readouterr().err
+
 def test_estimate_missing_required_option(capsys):
     assert main(["estimate", "--seed", "1"]) == 2
     assert "--input" in capsys.readouterr().err

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cifboot as cb
 
+import oracles
 from conftest import build_panel, subjects
 
 
@@ -280,6 +283,44 @@ def test_ingest_csv_rejects_duplicated_column(tmp_path):
     assert cb.ingest_csv(path).exit.tolist() == [1.0, 2.0]
 
 
+def test_ingest_csv_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"exit,status\r\n1,1\r\n2,\xff\r\n")
+    with pytest.raises(cb.DataError,
+                       match=r"^line 3: invalid UTF-8 byte 0xff in .*latin1\.csv$"):
+        cb.ingest_csv(path)
+    # lines end at CR alone too, and the byte-order mark adds none
+    path.write_bytes(b"\xef\xbb\xbfexit,status\r1,1\r2,2\r3,0\xe9\r")
+    with pytest.raises(cb.DataError, match="^line 4: invalid UTF-8 byte 0xe9"):
+        cb.ingest_csv(path)
+
+
+@pytest.mark.parametrize("roles", [{"exit_col": "status"},
+                                   {"status_col": "exit"},
+                                   {"entry_col": "exit"},
+                                   {"exit_col": "b", "status_col": "b"}])
+def test_ingest_csv_rejects_one_column_in_two_roles(tmp_path, roles):
+    path = tmp_path / "roles.csv"
+    path.write_text("entry,exit,status,b\n0,1,1,1\n0,2,2,2\n")
+    with pytest.raises(cb.DataError, match="must be three different columns"):
+        cb.ingest_csv(path, **roles)
+
+
+@pytest.mark.parametrize("text, cause1_code, message", [
+    ("exit,status\n\x1c1,1\n", "1", "^line 2: could not convert string to float"),
+    ("exit,status\n1,1\x00\n", "1", r"^line 2: unknown status code '1\\x00'"),
+    ("exit,status\n1,1\n", "1\x00", "^line 2: unknown status code '1'"),
+])
+def test_ingest_csv_reads_control_characters_like_the_walk(
+        tmp_path, text, cause1_code, message):
+    # numpy's C float parser skips \x1c-\x1f as blanks and its strings drop
+    # trailing NULs; neither may let a row through that the walk refuses
+    path = tmp_path / "ctrl.csv"
+    path.write_text(text)
+    with pytest.raises(cb.DataError, match=message):
+        cb.ingest_csv(path, cause1_code=cause1_code)
+
+
 @st.composite
 def csv_samples(draw, scale):
     """Subjects written as CSV text: random column order, custom status
@@ -317,3 +358,86 @@ def test_ingest_csv_compiles_like_arrays(tmp_path, scale, data):
         actual = getattr(got, name)
         assert actual.dtype == expect.dtype and actual.shape == expect.shape
         assert actual.tobytes() == expect.tobytes(), name
+
+
+_TIME_ODDITIES = ["1_000", "nan", "inf", "-inf", "1e400", " 1.5", "1.5 ",
+                  '"1.5"', '"1""5"', '1"5"', "x", "", "-0", "1e-320", "+2",
+                  "\uff11", "\x1c1", "1\x1f", "1\x00", '"2\n"']
+_CODE_ODDITIES = ["{}2", " {}", "{} ", '"{}"', '"{}\r\n"', '{}""', '"a""b"',
+                  "", "{}\x00", "\x1c{}"]
+
+
+@st.composite
+def messy_csv(draw):
+    """CSV text on which a C-level parse and the csv module might differ:
+    quoting, blank and whitespace-only lines, mixed line ends, short and
+    long rows, a byte-order mark, codes and fields that extend a code, and
+    numbers only Python's float() reads.  At most one field per file is
+    odd, so that the rest of the file does not hide how it is read."""
+    codes = draw(st.one_of(
+        st.sampled_from([("0", "1", "2"), ("alive", "relapse", "nrm"),
+                         ("1", "10", "2"), ("1", "1\x00", "2")]),
+        st.lists(st.text(' az0"\x00', max_size=3), min_size=3, max_size=3,
+                 unique=True).map(tuple)))
+    cols = draw(st.permutations(["entry", "exit", "status", "note"]))
+    cols = [c for c in cols if c != "entry" or draw(st.booleans())]
+    header = ",".join(f'"{c}"' if draw(st.booleans()) else c for c in cols)
+    lines = [header]
+    n = draw(st.integers(0, 6))
+    odd_row = draw(st.integers(0, 2 * n))  # past the last row: none odd
+    for k in range(n):
+        fault = draw(st.integers(0, 19))  # 4 to 19: a clean row
+        if fault < 2:
+            lines.append(["", draw(st.sampled_from(["  ", "\t"]))][fault])
+        entry = draw(st.floats(0, 2))
+        field = {"entry": repr(entry),
+                 "exit": repr(entry + draw(st.floats(0.001, 3))),
+                 "status": draw(st.sampled_from(codes)),
+                 "note": draw(st.sampled_from(["n", '"a,b"', '"say ""hi"""']))}
+        if k == odd_row:
+            odd = draw(st.sampled_from(["entry", "exit", "status"]))
+            if odd == "status":
+                field[odd] = draw(st.sampled_from(_CODE_ODDITIES)).format(
+                    draw(st.sampled_from(codes)))
+            else:
+                field[odd] = draw(st.sampled_from(_TIME_ODDITIES))
+        row = [field[c] for c in cols]
+        row = {2: row[:-1], 3: row + ["extra"]}.get(fault, row)
+        lines.append(",".join(row))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.removesuffix(ends[-1])
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + text, codes
+
+
+def _outcome(read, path, codes):
+    kwargs = dict(zip(("censored_code", "cause1_code", "cause2_code"), codes))
+    try:
+        return read(path, **kwargs)
+    except (cb.DataError, oracles.ReferenceDataError) as exc:
+        return "DataError", str(exc)
+    except Exception as exc:  # the walk's own failures must match too
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=1000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_ingest_csv_matches_the_csv_walk(tmp_path, data):
+    text, codes = data.draw(messy_csv())
+    path = tmp_path / "messy.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = _outcome(oracles.reference_ingest_csv, path, codes)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _outcome(cb.ingest_csv, path, codes)
+    assert caught == []
+    if isinstance(got, cb.Sample):
+        got = got.entry, got.exit, got.status
+        assert not isinstance(want[0], str), want
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    else:
+        assert isinstance(want[0], str) and got == want
