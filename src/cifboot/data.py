@@ -205,13 +205,9 @@ def check_positive_risk(panel: CountingProcessPanel, horizon: float) -> Positive
     # Y is constant on each interval (b[k], b[k+1]] between consecutive
     # entry/exit breakpoints, and identically 0 past the last exit.
     breaks = np.unique(np.concatenate((panel.entries, panel.times, [0.0])))
-    rights = breaks[1:]
-    y_right = _at_risk_between(panel, rights)
-    zero_after = None
-    for left, y in zip(breaks[:-1], y_right):
-        if y == 0 and left < horizon:
-            zero_after = float(left)
-            break
+    y_right = _at_risk_between(panel, breaks[1:])
+    gaps = np.flatnonzero((y_right == 0) & (breaks[:-1] < horizon))
+    zero_after = float(breaks[gaps[0]]) if gaps.size else None
     if zero_after is None and panel.last_time < horizon:
         zero_after = panel.last_time
 

@@ -37,7 +37,9 @@ class WeightScheme:
     (iid standard normal), "wild-poisson" (iid Poisson(1) - 1), "wild-custom"
     (user sampler, must be iid mean 0 variance 1), "iid-weighted"
     (normalized positive iid weights eta/etabar - 1 over C_eta), "bayesian"
-    (iid-weighted with standard exponential eta, C_eta = 1).
+    (iid-weighted with standard exponential eta, C_eta = 1).  ``sampler``
+    belongs to wild-custom and the three eta fields to iid-weighted; any
+    other kind refuses them.
     """
 
     kind: str
@@ -49,6 +51,11 @@ class WeightScheme:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DataError(f"unknown weight scheme {self.kind!r}")
+        for name, owner in (("sampler", WILD_CUSTOM), ("eta_sampler", IID_WEIGHTED),
+                            ("mu_eta", IID_WEIGHTED), ("sigma_eta", IID_WEIGHTED)):
+            if getattr(self, name) is not None and self.kind != owner:
+                raise DataError(f"{name} belongs to the {owner} scheme; the "
+                                f"{self.kind} scheme does not use it")
         if self.kind == WILD_CUSTOM and self.sampler is None:
             raise DataError("wild-custom scheme needs a sampler")
         if self.kind == IID_WEIGHTED:

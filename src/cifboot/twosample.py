@@ -6,13 +6,16 @@ plug-in covariance of the normalized estimator processes; bootstrap critical
 values come from Efron multinomial weights or wild multipliers attached to
 the pooled per-entry jump contributions.
 
-Everything reduces to the per-entry window integrals
+Everything reduces to sums over the segments of each group's window on which
+rho and the group's estimates are constant: the per-entry window integrals
 
     I_l = sign_l * integral over [t1, t2] of rho(s) Z_l(s) ds,
 
-one number per pooled entry: the statistic, the plug-in variance and every
-bootstrap replicate are linear or quadratic forms in those integrals, which
-is what makes hundreds of replicates per dataset cheap.  The reduction is
+one number per pooled entry, and the group's integral of rho * F1, the first
+of the rho * F1 tails the I_l are built from.  T_n is kappa times the
+difference of the two groups' rho * F1 integrals; the plug-in variance and
+every bootstrap replicate are linear or quadratic forms in the I_l, which is
+what makes hundreds of replicates per dataset cheap.  The reduction is
 algebraically exact, not an approximation; the unit tests compare it against
 literal rectangle double sums.
 """
@@ -113,7 +116,7 @@ class TestResult:
 @dataclass(frozen=True, eq=False)
 class PreparedTest:
     """One prepared dataset: the signed per-entry window integrals of the
-    pooled two-group Z functions, with T_n and V_n^2 computed from them.
+    pooled two-group Z functions, T_n and V_n^2.
 
     ``integrals`` has length 2(n1 + n2): group 1's cause-1 slots, group 1's
     cause-2 slots, then group 2's slots with flipped sign (the statistic
@@ -151,7 +154,7 @@ class PreparedTest:
 
     @property
     def kappa(self) -> float:
-        return math.sqrt(self.n1 * self.n2 / (self.n1 + self.n2))
+        return _kappa(self.n1, self.n2)
 
     @property
     def vn_zero(self) -> bool:
@@ -162,6 +165,10 @@ class PreparedTest:
         if self.vn_zero:
             return 0.0
         return self.statistic / math.sqrt(self.variance)
+
+
+def _kappa(n1: int, n2: int) -> float:
+    return math.sqrt(n1 * n2 / (n1 + n2))
 
 
 def effective_window(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
@@ -176,27 +183,11 @@ def effective_window(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
     return config.t1, t2_eff
 
 
-def _window_segments(t1: float, t2: float, inner: np.ndarray,
-                     rho: StepFunction, tabs: tuple[PluginTables, ...]):
-    """Split [t1, t2] at the ``inner`` times inside it and at rho's jumps.
-
-    Returns the breakpoints, the segment widths, rho on each segment and,
-    per table, F1 on each segment (all of them constant there).
-    """
-    inner = inner[(inner > t1) & (inner < t2)]
-    pts = np.unique(np.concatenate((
-        np.array([t1, t2]), inner, rho.breakpoints_in(t1, t2))))
-    seg_left = pts[:-1]
-    rho_v = np.asarray(rho(seg_left), dtype=float)
-    f1_v = [np.concatenate(([0.0], tab.f1))[
-        np.searchsorted(tab.times, seg_left, side="right")] for tab in tabs]
-    return pts, np.diff(pts), rho_v, f1_v
-
-
 def _group_integrals(tab: PluginTables, panel: CountingProcessPanel,
                      t1: float, t2: float, rho: StepFunction,
-                     sign: float) -> np.ndarray:
-    """Per-entry window integrals of one group's Z functions, segment-exact.
+                     sign: float) -> tuple[np.ndarray, float]:
+    """Per-entry window integrals of one group's Z functions, segment-exact,
+    and the group's window integral of rho * F1.
 
     A cause-j jump of subject i at time u contributes, at any s >= u in the
     window, (factor - F1(s)) / Y(u) with factor S2(u-) for cause 1 and
@@ -205,29 +196,29 @@ def _group_integrals(tab: PluginTables, panel: CountingProcessPanel,
         I = (factor * R(x) - P(x)) / Y(u),   x = max(u, t1),
 
     with R and P the tail integrals of rho and rho * F1, both suffix sums
-    over the merged breakpoint grid.  Jumps at or beyond t2 land on the
-    grid's last point, where both tails are exactly zero.
+    over the group's breakpoint grid.  Jumps at or beyond t2 land on the
+    grid's last point, where both tails are exactly zero.  The window
+    integral P(t1) is summed pairwise, not read off the suffix sum.
     """
     event_times = tab.times[(tab.d1 + tab.d2) > 0]
-    pts, dt, rho_v, (f1_v,) = _window_segments(t1, t2, event_times, rho, (tab,))
+    inner = event_times[(event_times > t1) & (event_times < t2)]
+    pts = np.unique(np.concatenate((
+        np.array([t1, t2]), inner, rho.breakpoints_in(t1, t2))))
+    dt = np.diff(pts)
+    rho_v = np.asarray(rho(pts[:-1]), dtype=float)
+    f1_v = np.concatenate(([0.0], tab.f1))[
+        np.searchsorted(tab.times, pts[:-1], side="right")]
+    rho_f1_dt = rho_v * f1_v * dt
     tail_rho = np.concatenate((np.cumsum((rho_v * dt)[::-1])[::-1], [0.0]))
-    tail_rho_f1 = np.concatenate(
-        (np.cumsum((rho_v * f1_v * dt)[::-1])[::-1], [0.0]))
+    tail_rho_f1 = np.concatenate((np.cumsum(rho_f1_dt[::-1])[::-1], [0.0]))
 
     u, y, factor = jump_table(panel, tab)
     # active jump times are grid members by construction, so searchsorted
     # lands exactly on them; inactive (+inf) and out-of-window entries clamp
     # to t2 where the tails vanish, and their factor is 0
     pos = np.searchsorted(pts, np.minimum(np.maximum(u, t1), t2))
-    return sign * ((factor * tail_rho[pos] - tail_rho_f1[pos]) / y)
-
-
-def _tn(tab1: PluginTables, tab2: PluginTables, t1: float, t2: float,
-        rho: StepFunction, kappa: float) -> float:
-    """T_n as an exact sum over segments where both estimates are constant."""
-    jumps = np.concatenate((tab1.times[tab1.d1 > 0], tab2.times[tab2.d1 > 0]))
-    _, dt, rho_v, (f1a, f1b) = _window_segments(t1, t2, jumps, rho, (tab1, tab2))
-    return float(kappa * np.sum(rho_v * (f1a - f1b) * dt))
+    return (sign * ((factor * tail_rho[pos] - tail_rho_f1[pos]) / y),
+            float(np.sum(rho_f1_dt)))
 
 
 def prepare_test(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
@@ -250,13 +241,13 @@ def prepare_test(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
     tab1 = plugin_tables(panel1)
     tab2 = plugin_tables(panel2)
     rho = config.rho_or_one
-    i1 = _group_integrals(tab1, panel1, t1, t2, rho, +1.0)
-    i2 = _group_integrals(tab2, panel2, t1, t2, rho, -1.0)
-    kappa = math.sqrt(panel1.n * panel2.n / (panel1.n + panel2.n))
+    i1, s1 = _group_integrals(tab1, panel1, t1, t2, rho, +1.0)
+    i2, s2 = _group_integrals(tab2, panel2, t1, t2, rho, -1.0)
+    kappa = _kappa(panel1.n, panel2.n)
     return PreparedTest(
         n1=panel1.n, n2=panel2.n, t1=t1, t2=t2, requested_t2=config.t2,
         integrals=np.concatenate((i1, i2)),
-        statistic=_tn(tab1, tab2, t1, t2, rho, kappa),
+        statistic=kappa * (s1 - s2),
         variance=float(kappa**2 * (np.sum(i1 * i1) + np.sum(i2 * i2))))
 
 

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cifboot as cb
 
@@ -155,6 +155,34 @@ def test_positive_risk_short_followup():
     report = cb.check_positive_risk(panel, 5.0)
     assert report.zero_after == pytest.approx(1.0)
     assert not report.ok
+
+
+@given(subjects(n_min=1, n_max=8, truncated=True), st.integers(0, 40), st.booleans())
+@example([(0, 2, 1), (4, 6, 1)], 0, True)  # a gap opening at the horizon
+def test_positive_risk_matches_direct_counts(subs, pick, on_break):
+    # Y counted straight from the rows: at each interval's midpoint between
+    # consecutive entry/exit breakpoints, and at each grid time; half the
+    # horizons sit on a breakpoint, where "before the horizon" is decided
+    breaks = sorted({0.0} | {a / 2 for a, _, _ in subs} | {b / 2 for _, b, _ in subs})
+    horizon = breaks[1 + pick % (len(breaks) - 1)] if on_break else (1 + pick % 28) / 4
+    panel = build_panel(subs)
+    report = cb.check_positive_risk(panel, horizon)
+
+    def y(t):
+        return sum(1 for a, b, _ in subs if a / 2 < t <= b / 2)
+
+    gaps = [lo for lo, hi in zip(breaks, breaks[1:])
+            if lo < horizon and y((lo + hi) / 2) == 0]
+    if gaps:
+        assert report.zero_after == gaps[0]
+    elif breaks[-1] < horizon:
+        assert report.zero_after == breaks[-1]
+    else:
+        assert report.zero_after is None
+
+    grid = [t for t in panel.times.tolist() if t <= horizon] or [horizon]
+    assert report.min_fraction == min(y(t) / len(subs) for t in grid)
+    assert y(report.min_time) / len(subs) == report.min_fraction
 
 
 def test_positive_risk_rejects_bad_horizon():

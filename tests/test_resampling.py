@@ -63,6 +63,22 @@ def test_scheme_validation():
     with pytest.raises(cb.DataError, match="sigma_eta > 0"):
         cb.WeightScheme(IID_WEIGHTED, eta_sampler=lambda r, m: r.random(m),
                         mu_eta=1.0, sigma_eta=0.0)
+    # a parameter the kind does not use is refused, not silently ignored
+    def f(rng, m):
+        return rng.standard_normal(m)
+
+    with pytest.raises(cb.DataError, match="sampler .*wild-normal scheme"):
+        cb.WeightScheme(WILD_NORMAL, sampler=f)
+    with pytest.raises(cb.DataError, match="sampler .*iid-weighted scheme"):
+        cb.WeightScheme(IID_WEIGHTED, sampler=f, eta_sampler=f, mu_eta=1.0,
+                        sigma_eta=1.0)
+    with pytest.raises(cb.DataError, match="mu_eta .*efron scheme"):
+        cb.WeightScheme(EFRON, mu_eta=1.0, sigma_eta=-5.0)
+    for name in ("eta_sampler", "mu_eta", "sigma_eta"):
+        for kind in (EFRON, WILD_CUSTOM, BAYESIAN):
+            extra = {"sampler": f} if kind == WILD_CUSTOM else {}
+            with pytest.raises(cb.DataError, match=f"{name} .*{kind} scheme"):
+                cb.WeightScheme(kind, **extra, **{name: 1.0})
 
 
 def test_scheme_from_name():

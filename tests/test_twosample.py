@@ -365,9 +365,11 @@ def test_bootstrap_variance_guards():
 def test_replicate_block_rejects_non_bootstrap_schemes():
     p1, p2 = hand_pair()
     pooled = twosample.prepare_test(p1, p2, cb.TestConfig(t2=3.0))
-    for kind in ("bayesian",):
+    iid = cb.WeightScheme("iid-weighted", mu_eta=1.0, sigma_eta=1.0,
+                          eta_sampler=lambda rng, m: rng.standard_exponential(m))
+    for scheme in (cb.WeightScheme("bayesian"), iid):
         with pytest.raises(cb.DataError, match="efron and wild"):
-            twosample.replicate_block(pooled, cb.WeightScheme(kind), 10,
+            twosample.replicate_block(pooled, scheme, 10,
                                       np.random.default_rng(0))
 
 
