@@ -105,7 +105,16 @@ _REQUIRED = object()
 _METHODS = ("asymptotic", "efron", "wild")
 _COLUMNS = ("entry_col", "exit_col", "status_col")
 
-# name -> (type, default, help); a callable default is drawn at resolve time
+
+def flag(text: str) -> bool:
+    """A switch's config-file value: true or false."""
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+# name -> (type, default, help); a callable default is drawn at resolve time,
+# and a ``flag`` option is a store-true switch on the command line
 _OPTIONS = {
     "seed": (int, fresh_seed, "master RNG seed, >= 0 (drawn fresh if omitted)"),
     "out": (str, ".", "output directory"),
@@ -130,6 +139,8 @@ _OPTIONS = {
     "scheme": (str, _REQUIRED, "weight scheme, e.g. efron or wild-normal"),
     "m": (int, _REQUIRED, "weight vector length"),
     "draws": (int, 100_000, "Monte Carlo draws"),
+    "save_replicates": (flag, False,
+                        "also write the studentized replicates CSV"),
 }
 
 
@@ -240,7 +251,7 @@ def _load_sample(path: str, opts: dict):
     return sample
 
 
-def cmd_estimate(opts: dict, args: argparse.Namespace):
+def cmd_estimate(opts: dict):
     out = opts["out"]
     panel = compile_panel(_load_sample(opts["input"], opts))
     outputs = [
@@ -274,7 +285,7 @@ def result_dict(result: TestResult) -> dict:
     return d
 
 
-def cmd_test(opts: dict, args: argparse.Namespace):
+def cmd_test(opts: dict):
     method, seed, out = opts["method"], opts["seed"], opts["out"]
     if method not in _METHODS:
         raise DataError(f"unknown method {method!r}")
@@ -300,7 +311,7 @@ def cmd_test(opts: dict, args: argparse.Namespace):
 
     outputs = [_write(os.path.join(out, "result.json"),
                       render_json(result_dict(result)))]
-    if args.save_replicates and result.replicates is not None:
+    if opts["save_replicates"] and result.replicates is not None:
         lines = ["t_stud_star"] + [format_float(float(v))
                                    for v in result.replicates]
         outputs.append(_write(os.path.join(out, "replicates.csv"),
@@ -308,7 +319,7 @@ def cmd_test(opts: dict, args: argparse.Namespace):
     return outputs, {}
 
 
-def cmd_simulate(opts: dict, args: argparse.Namespace):
+def cmd_simulate(opts: dict):
     suite, out = opts["suite"], opts["out"]
     configs = suite_configs(
         suite,
@@ -373,7 +384,7 @@ def cmd_simulate(opts: dict, args: argparse.Namespace):
     return outputs, {"cell_runtimes_seconds": [rep.runtime for rep in reports]}
 
 
-def cmd_validate_weights(opts: dict, args: argparse.Namespace):
+def cmd_validate_weights(opts: dict):
     scheme, m = scheme_from_name(opts["scheme"]), opts["m"]
     rng = substream(opts["seed"], f"validate-weights;{scheme.kind};m={m}", 0,
                     "weights")
@@ -392,7 +403,7 @@ _COMMANDS = {
                  ("input", "seed", "out", "horizon", *_COLUMNS)),
     "test": (cmd_test, "two-sample cumulative incidence test",
              ("group1", "group2", "method", "rho", "seed", "out",
-              "t1", "t2", "alpha", "B", *_COLUMNS)),
+              "t1", "t2", "alpha", "B", "save_replicates", *_COLUMNS)),
     "simulate": (cmd_simulate, "run a Monte Carlo scenario suite",
                  ("suite", "seed", "out", "workers", "nsim", "B", "alpha",
                   "t1", "t2", "cells")),
@@ -417,13 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
             cast, default, help_ = _OPTIONS[key]
             if default is _REQUIRED:
                 help_ += " (required)"
-            elif default is not None and not callable(default):
+            elif default is not None and not callable(default) and cast is not flag:
                 help_ += f" (default {default})"
+            # default None: an absent switch defers to the config file
+            kind = (dict(action="store_true", default=None) if cast is flag
+                    else dict(type=cast))
             cmd.add_argument("--" + key.replace("_", "-"), dest=key,
-                             type=cast, help=help_)
-        if command == "test":
-            cmd.add_argument("--save-replicates", action="store_true",
-                             help="also write the studentized replicates CSV")
+                             help=help_, **kind)
     return parser
 
 
@@ -434,7 +445,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, keys) if args.config else {}
         opts = resolve_options(args, keys, cfg)
-        outputs, extra = handler(opts, args)
+        outputs, extra = handler(opts)
         _write_manifest(args.command, opts, outputs, started, extra)
         return 0
     except (DataError, OSError) as exc:

@@ -61,10 +61,11 @@ class WeightScheme:
         if self.kind == IID_WEIGHTED:
             if self.eta_sampler is None or self.mu_eta is None or self.sigma_eta is None:
                 raise DataError("iid-weighted scheme needs eta_sampler, mu_eta and sigma_eta")
-            if not self.sigma_eta > 0:
-                raise DataError("iid-weighted scheme needs sigma_eta > 0")
-            if not self.mu_eta > 0:
-                raise DataError("iid-weighted scheme needs mu_eta > 0 (positive weights)")
+            if not 0 < self.sigma_eta < np.inf:
+                raise DataError("iid-weighted scheme needs a finite sigma_eta > 0")
+            if not 0 < self.mu_eta < np.inf:
+                raise DataError("iid-weighted scheme needs a finite mu_eta > 0 "
+                                "(positive weights)")
 
 
 def scheme_from_name(name: str) -> WeightScheme:
@@ -104,9 +105,7 @@ def draw_weights(scheme: WeightScheme, rows: int, m: int,
     if scheme.kind == WILD_NORMAL:
         return rng.standard_normal((rows, m))
     if scheme.kind == WILD_POISSON:
-        w = rng.poisson(1.0, (rows, m)).astype(float)
-        w -= 1.0
-        return w
+        return rng.poisson(1.0, (rows, m)) - 1.0
     if scheme.kind == BAYESIAN:
         eta = rng.standard_exponential((rows, m))
         eta /= eta.mean(axis=1, keepdims=True)
@@ -166,31 +165,19 @@ class ZArray:
     def size(self) -> int:
         return 2 * self.n
 
-    def evaluate(self, s: float) -> np.ndarray:
-        """All 2n entry values at a single time s."""
-        active = self.jump_time <= s
-        f1s = self.f1(s)
-        return np.where(active, (self.factor - f1s) / self.at_risk, 0.0)
+    def evaluate(self, s) -> np.ndarray:
+        """Entry values at time s: the (2n,) vector for one time, the (2n, G)
+        matrix E for a grid of G times (column g at the g-th time)."""
+        s = np.asarray(s, dtype=float)
+        col = (slice(None),) + (None,) * s.ndim
+        return np.where(self.jump_time[col] <= s,
+                        (self.factor[col] - self.f1(s)) / self.at_risk[col], 0.0)
 
 
 def build_z(panel: CountingProcessPanel) -> ZArray:
     """Assemble the 2n-entry Z array of a panel."""
     return ZArray(panel.n, *jump_table(panel, plugin_tables(panel)),
                   f1=aalen_johansen(panel, 1))
-
-
-def _entry_sum_on_grid(z: ZArray, w: np.ndarray, grid) -> np.ndarray:
-    """sum_l w_l Z_l(s) per grid point s.
-
-    Each active entry adds w (factor - F1(s)) / Y(u) once u <= s; sorting the
-    entries by jump time turns the indicator sums into prefix-sum lookups.
-    Inactive entries have jump time +inf and never enter the prefix sums.
-    """
-    order = np.argsort(z.jump_time, kind="stable")
-    cum_a = np.concatenate(([0.0], np.cumsum((w * z.factor / z.at_risk)[order])))
-    cum_b = np.concatenate(([0.0], np.cumsum((w / z.at_risk)[order])))
-    pos = np.searchsorted(z.jump_time[order], grid, side="right")
-    return cum_a[pos] - z.f1(grid) * cum_b[pos]
 
 
 def wild_process(panel: CountingProcessPanel, multipliers: np.ndarray,
@@ -204,32 +191,32 @@ def wild_process(panel: CountingProcessPanel, multipliers: np.ndarray,
         W(s) = sqrt(n) * sum_i G_i (factor_i - F1(s)) / Y(u_i) * 1(u_i <= s)
 
     with factor S2(u-) for cause-1 jumps and F1(u-) for cause-2 jumps.
+    ``multipliers`` is one (n,) vector, or a (rows, n) block giving (rows, G).
     """
     multipliers = np.asarray(multipliers, dtype=float)
-    if multipliers.shape != (panel.n,):
+    if multipliers.shape[-1:] != (panel.n,):
         raise DataError(f"need one multiplier per subject, got shape {multipliers.shape}")
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-
-    g2 = np.concatenate((multipliers, multipliers))  # entry i and n+i belong to subject i
-    return np.sqrt(panel.n) * _entry_sum_on_grid(build_z(panel), g2, grid)
+    e = build_z(panel).evaluate(np.atleast_1d(grid))
+    # a subject has at most one nonzero slot, so folding the two is exact
+    return np.sqrt(panel.n) * (multipliers @ (e[:panel.n] + e[panel.n:]))
 
 
 def weighted_process(z: ZArray, weights: np.ndarray, grid) -> np.ndarray:
     """Exchangeably weighted bootstrap process sqrt(2n) sum w_i (Z_i - Zbar),
     at each point of ``grid``.
 
+    ``weights`` is one (2n,) vector or a block of them as rows, e.g. a
+    (rows, 2n) ``draw_weights`` block; a block gives one row per vector.
     Centering is applied through w - wbar, which is algebraically identical
     and cancels any constant component of the weights (exactly so when the
     mean is exactly representable, as for integer count vectors).  Note the
     sqrt(2n) convention: this resamples sqrt(2) times the one-sample process.
     """
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (z.size,):
+    if weights.shape[-1:] != (z.size,):
         raise DataError(f"need {z.size} weights, got shape {weights.shape}")
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-
-    centered = weights - weights.mean()
-    return np.sqrt(z.size) * _entry_sum_on_grid(z, centered, grid)
+    centered = weights - weights.mean(axis=-1, keepdims=True)
+    return np.sqrt(z.size) * (centered @ z.evaluate(np.atleast_1d(grid)))
 
 
 def validate_weight_conditions(scheme: WeightScheme, m: int, draws: int,

@@ -13,6 +13,7 @@ add integer counts, so results are identical for any worker count.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from collections import Counter
@@ -92,9 +93,10 @@ class PiecewiseConstant:
     rates2: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "breaks", tuple(float(b) for b in self.breaks))
-        object.__setattr__(self, "rates1", tuple(float(r) for r in self.rates1))
-        object.__setattr__(self, "rates2", tuple(float(r) for r in self.rates2))
+        for name in ("breaks", "rates1", "rates2"):
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+        if not all(math.isfinite(x) for x in self.breaks + self.rates1 + self.rates2):
+            raise DataError("breaks and hazard rates must be finite")
         k = len(self.breaks)
         if k == 0 or self.breaks[0] != 0.0:
             raise DataError("breaks must start at 0")
@@ -111,17 +113,12 @@ class PiecewiseConstant:
     def tag(self) -> str:
         return f"pw({self.breaks!r},{self.rates1!r},{self.rates2!r})"
 
-    def _grid(self):
+    def event_times(self, rng: np.random.Generator, size: int) -> np.ndarray:
         b = np.asarray(self.breaks)
         total = np.asarray(self.rates1) + np.asarray(self.rates2)
         # cumulative all-cause hazard at the segment ends, +inf for the last
-        seg = total[:-1] * np.diff(b)
-        h_end = np.concatenate((np.cumsum(seg), [np.inf]))
+        h_end = np.concatenate((np.cumsum(total[:-1] * np.diff(b)), [np.inf]))
         h_start = np.concatenate(([0.0], h_end[:-1]))
-        return b, total, h_start, h_end
-
-    def event_times(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        b, total, h_start, h_end = self._grid()
         e = rng.standard_exponential(size)
         # first segment whose cumulative hazard end exceeds the draw; its
         # rate is positive there, so the linear inversion is well defined
@@ -133,9 +130,7 @@ class PiecewiseConstant:
         r1 = np.asarray(self.rates1)
         total = r1 + np.asarray(self.rates2)
         k = np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0, None)
-        with np.errstate(invalid="ignore"):
-            p = np.where(total[k] > 0, r1[k] / np.where(total[k] > 0, total[k], 1.0), 0.0)
-        return p
+        return np.where(total[k] > 0, r1[k] / np.where(total[k] > 0, total[k], 1.0), 0.0)
 
 
 HazardModel = Group1Exp | ConstantPair | PiecewiseConstant
@@ -182,8 +177,12 @@ class ScenarioConfig:
             raise DataError("need n1, n2 >= 2")
         if self.n_sim < 1:
             raise DataError("need n_sim >= 1")
-        if any(r < 0 for r in self.censor_rates):
-            raise DataError("censoring rates must be >= 0")
+        for name in ("censor_rates", "interval"):
+            if len(getattr(self, name)) != 2:
+                raise DataError(f"{name} needs two values, got {getattr(self, name)!r}")
+        if not all(0.0 <= r < math.inf for r in self.censor_rates):
+            raise DataError(f"censor_rates must be finite and >= 0, got "
+                            f"{self.censor_rates!r}")
         self.test_config  # building it checks the window, alpha and B
 
     @property
@@ -386,6 +385,8 @@ def parse_cells(spec_str: str) -> dict[str, float]:
         if not sep or key not in _CELL_KEYS:
             raise DataError(f"bad cell filter term {part!r} "
                             f"(keys: {', '.join(sorted(_CELL_KEYS))})")
+        if key in out:
+            raise DataError(f"cell filter key {key!r} given twice")
         try:
             out[key] = float(val)
         except ValueError:

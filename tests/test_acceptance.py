@@ -34,7 +34,8 @@ import scipy.stats
 import cifboot as cb
 from cifboot import twosample
 from cifboot.cli import main
-from cifboot.resampling import EFRON, WILD_NORMAL, build_z, draw_weights
+from cifboot.resampling import EFRON, WILD_NORMAL, build_z, draw_weights, \
+    weighted_process, wild_process
 from cifboot.rng import substream
 from cifboot.simulation import (ConstantPair, Group1Exp, PiecewiseConstant,
                                 ScenarioConfig, draw_panel, run_scenario)
@@ -318,25 +319,20 @@ def test_criterion_5_covariance_limits():
     rng_data = substream(seed, "acceptance;covariance", 0, "data")
     panel = draw_panel(Group1Exp(), n, 0.0, rng_data)
     z = build_z(panel)
-    zvals = np.stack([z.evaluate(0.75), z.evaluate(1.5)], axis=1)  # (2n, 2)
+    grid = np.array([0.75, 1.5])
 
+    # the package's process forms on blocks: Efron weights 500 rows at a
+    # time, then one (B, n) block of wild multipliers
     rng_w = substream(seed, "acceptance;covariance", 0, "weights")
-    m = 2 * n
     wstar = np.empty((B, 2))
-    done = 0
-    while done < B:
+    for done in range(0, B, 500):
         take = min(500, B - done)
-        counts = draw_weights(cb.WeightScheme(EFRON), take, m, rng_w) + 1.0
-        w = counts - 1.0
-        w -= w.mean(axis=1, keepdims=True)
-        wstar[done:done + take] = math.sqrt(m) * (w @ zvals)
-        done += take
+        wstar[done:done + take] = weighted_process(
+            z, draw_weights(cb.WeightScheme(EFRON), take, 2 * n, rng_w), grid)
     cov_w = np.cov(wstar.T)
 
     g = rng_w.standard_normal((B, n))
-    zsub = zvals[:n] + zvals[n:]  # one jump per subject, so slots just add
-    wild = math.sqrt(n) * (g @ zsub)
-    cov_g = np.cov(wild.T)
+    cov_g = np.cov(wild_process(panel, g, grid).T)
 
     pairs = ((0.75, 0.75), (0.75, 1.5), (1.5, 1.5))
     idx = ((0, 0), (0, 1), (1, 1))

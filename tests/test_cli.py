@@ -135,7 +135,7 @@ def test_cli_manifest_config_holds_command_options(tmp_path):
     expected = {
         "estimate": {"input", "horizon"} | columns,
         "test": {"group1", "group2", "method", "rho", "t1", "t2", "alpha",
-                 "B"} | columns,
+                 "B", "save_replicates"} | columns,
         "simulate": {"suite", "workers", "nsim", "B", "alpha", "t1", "t2",
                      "cells"},
         "validate-weights": {"scheme", "m", "draws"},
@@ -333,6 +333,36 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
     result = json.loads((out / "result.json").read_text())
     assert result["interval"] == [0.0, 3.0]
     assert result["B"] == 49
+
+
+def test_cli_save_replicates_from_config_and_in_manifest(tmp_path, capsys):
+    # the switch is an option like any other: a config key (true/false) and
+    # a manifest entry, with the flag winning over the file
+    g1, g2 = write_samples(tmp_path)
+    base = ["test", "--group1", g1, "--group2", g2, "--t2", "3",
+            "--method", "efron", "--B", "19", "--seed", "4"]
+    runs = {"cfg_true": ("true", []), "cfg_false": ("false", []),
+            "flag_wins": ("false", ["--save-replicates"]), "absent": (None, [])}
+    for name, (value, flags) in runs.items():
+        out = tmp_path / name
+        argv = base + ["--out", str(out)] + flags
+        if value is not None:
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"save_replicates={value}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        saved = name in ("cfg_true", "flag_wins")
+        assert man["config"]["save_replicates"] is saved
+        assert (out / "replicates.csv").exists() is saved
+        assert ("replicates.csv" in man["outputs"]) is saved
+    assert (tmp_path / "cfg_true" / "replicates.csv").read_bytes() \
+        == (tmp_path / "flag_wins" / "replicates.csv").read_bytes()
+
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("save-replicates=yes\n")
+    assert main(base + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "save_replicates='yes' is not a valid flag" in capsys.readouterr().err
 
 
 def test_cli_bad_method_via_config(tmp_path, capsys):

@@ -193,7 +193,7 @@ def test_zeta_hat_is_the_wild_and_efron_conditional_covariance():
         grid = np.sort(rng.uniform(0.0, 1.1 * panel.last_time, 9))
         zeta = cb.zeta_hat(panel, grid)
         z = cb.build_z(panel)
-        e = np.stack([z.evaluate(s) for s in grid], axis=1)
+        e = z.evaluate(grid)
         m = e.shape[0]
         # wild: n * sum_l Z_l(s) Z_l(t)
         _close(panel.n * (e.T @ e), zeta)

@@ -9,6 +9,7 @@ from cifboot.resampling import (BAYESIAN, EFRON, IID_WEIGHTED, WILD_CUSTOM,
                                 WILD_NORMAL, WILD_POISSON, build_z,
                                 draw_weights, scheme_from_name,
                                 weighted_process, wild_process)
+from cifboot.simulation import Group1Exp, draw_panel
 
 from conftest import build_panel, brute_from_panel, event_subjects, jumps_from_subs
 
@@ -63,6 +64,9 @@ def test_scheme_validation():
     with pytest.raises(cb.DataError, match="sigma_eta > 0"):
         cb.WeightScheme(IID_WEIGHTED, eta_sampler=lambda r, m: r.random(m),
                         mu_eta=1.0, sigma_eta=0.0)
+    with pytest.raises(cb.DataError, match="mu_eta > 0"):
+        cb.WeightScheme(IID_WEIGHTED, eta_sampler=lambda r, m: r.random(m),
+                        mu_eta=0.0, sigma_eta=1.0)
     # a parameter the kind does not use is refused, not silently ignored
     def f(rng, m):
         return rng.standard_normal(m)
@@ -79,6 +83,17 @@ def test_scheme_validation():
             extra = {"sampler": f} if kind == WILD_CUSTOM else {}
             with pytest.raises(cb.DataError, match=f"{name} .*{kind} scheme"):
                 cb.WeightScheme(kind, **extra, **{name: 1.0})
+
+
+@pytest.mark.parametrize("field, value", [("mu_eta", np.inf),
+                                          ("sigma_eta", np.inf)])
+def test_scheme_refuses_infinite_eta_moments(field, value):
+    # an infinite mu_eta divided by zero in draw_weights and an infinite
+    # sigma_eta made every weight 0
+    params = {"mu_eta": 1.0, "sigma_eta": 1.0, field: value}
+    with pytest.raises(cb.DataError, match=f"finite {field} > 0"):
+        cb.WeightScheme(IID_WEIGHTED, eta_sampler=lambda r, m: r.random(m),
+                        **params)
 
 
 def test_scheme_from_name():
@@ -230,6 +245,19 @@ def test_z_matches_exact_rational_route(subs):
                                    rtol=1e-13, atol=1e-14)
 
 
+def test_z_evaluate_grid_stacks_the_single_time_columns():
+    # the grid form is the same elementwise arithmetic, column by column
+    for n, lam in ((100, 0.0), (2000, 0.5)):
+        panel = draw_panel(Group1Exp(), n, lam, np.random.default_rng(n))
+        z = build_z(panel)
+        grid = np.concatenate(([0.0, np.inf], np.linspace(0.05, 2.0, 27),
+                               panel.times[::max(1, n // 20)]))
+        e = z.evaluate(grid)
+        assert e.shape == (2 * n, grid.size)
+        stacked = np.stack([z.evaluate(s) for s in grid], axis=1)
+        assert e.tobytes() == stacked.tobytes()
+
+
 # ---------------------------------------------------------------- processes
 
 def test_wild_process_matches_entry_sum():
@@ -248,6 +276,10 @@ def test_wild_process_shape_check():
     panel = build_panel(HAND)
     with pytest.raises(cb.DataError, match="one multiplier per subject"):
         wild_process(panel, np.ones(4), [1.0])
+    with pytest.raises(cb.DataError, match="one multiplier per subject"):
+        wild_process(panel, np.ones((3, 4)), [1.0])
+    with pytest.raises(cb.DataError, match="one multiplier per subject"):
+        wild_process(panel, 1.0, [1.0])
 
 
 def test_weighted_process_constant_weights_vanish():
@@ -291,6 +323,29 @@ def test_weighted_process_shape_check():
     z = build_z(panel)
     with pytest.raises(cb.DataError, match="6 weights"):
         weighted_process(z, np.ones(3), [1.0])
+    with pytest.raises(cb.DataError, match="6 weights"):
+        weighted_process(z, np.ones((6, 3)), [1.0])
+
+
+def test_process_blocks_match_one_vector_calls():
+    # a block of weight vectors as rows (on any leading axes) gives one
+    # process row per vector, each equal to the one-vector call
+    panel = draw_panel(Group1Exp(), 300, 0.5, np.random.default_rng(4))
+    z = build_z(panel)
+    grid = np.linspace(0.1, 1.5, 29)
+    rng = np.random.default_rng(5)
+    for process, arg, scheme, m in (
+            (weighted_process, z, cb.WeightScheme(EFRON), z.size),
+            (wild_process, panel, cb.WeightScheme(WILD_NORMAL), panel.n)):
+        block = draw_weights(scheme, 6, m, rng)
+        got = process(arg, block, grid)
+        assert got.shape == (6, grid.size)
+        rows = np.array([process(arg, w, grid) for w in block])
+        np.testing.assert_allclose(got, rows, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(rows)))
+        np.testing.assert_allclose(process(arg, block.reshape(2, 3, m), grid),
+                                   rows.reshape(2, 3, grid.size), rtol=0,
+                                   atol=1e-13 * np.max(np.abs(rows)))
 
 
 # ---------------------------------------------------------------- validation

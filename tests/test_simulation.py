@@ -80,6 +80,13 @@ def test_piecewise_validation():
         PiecewiseConstant((0.0,), (-1.0,), (1.0,))
     with pytest.raises(cb.DataError, match="positive total"):
         PiecewiseConstant((0.0, 1.0), (1.0, 0.0), (1.0, 0.0))
+    # non-finite breaks and rates are refused here, not left to the data
+    for breaks, rates1, rates2 in (((0.0, math.nan), (1.0, 1.0), (1.0, 1.0)),
+                                   ((0.0, math.inf), (1.0, 1.0), (1.0, 1.0)),
+                                   ((0.0,), (math.nan,), (1.0,)),
+                                   ((0.0, 1.0), (1.0, 1.0), (1.0, math.inf))):
+        with pytest.raises(cb.DataError, match="must be finite"):
+            PiecewiseConstant(breaks, rates1, rates2)
 
 
 def test_piecewise_inversion_hand_values():
@@ -158,6 +165,18 @@ def test_scenario_config_validation():
         ScenarioConfig(**ok, interval=(2.0, 1.0))
     with pytest.raises(cb.DataError):
         ScenarioConfig(**ok, alpha=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("censor_rates", (math.nan, 0.0)),  # ran uncensored without a word
+    ("censor_rates", (math.inf, 0.0)),  # failed later, in compile_panel
+    ("censor_rates", (0.5,)),           # bare ValueError from unpacking
+    ("interval", (1.0,)),
+])
+def test_scenario_config_refuses_bad_pairs_and_rates(field, value):
+    ok = dict(model1=Group1Exp(), model2=ConstantPair(1.0), n1=10, n2=10)
+    with pytest.raises(cb.DataError, match=field):
+        ScenarioConfig(**ok, **{field: value})
 
 
 def test_scenario_test_config():
@@ -338,6 +357,12 @@ def test_parse_cells():
         parse_cells("q=1")
     with pytest.raises(cb.DataError, match="bad cell filter value"):
         parse_cells("c=half")
+
+
+def test_parse_cells_refuses_a_repeated_key():
+    # "n=50,n=100" used to keep only n=100 and run its cells
+    with pytest.raises(cb.DataError, match="'n' given twice"):
+        parse_cells("n=50,n=100")
 
 
 def test_scenario_matches_keys():
