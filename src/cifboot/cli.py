@@ -347,8 +347,7 @@ def cmd_simulate(opts: dict):
         cf = rep.config
         row = [str(cf.n1), str(cf.n2), format_float(cf.censor_rates[0]),
                format_float(cf.censor_rates[1]),
-               format_float(rep.rate(PHI_N)), format_float(rep.rate(PHI_W)),
-               format_float(rep.rate(PHI_E))]
+               *map(format_float, rep.rates.values())]
         if with_c:
             row.insert(0, format_float(cf.c_value))
         lines.append(",".join(row))
@@ -371,7 +370,7 @@ def cmd_simulate(opts: dict):
             "degenerate_windows": rep.degenerate_windows,
             "all_degenerate_datasets": {PHI_W: rep.all_degenerate_phi_w,
                                         PHI_E: rep.all_degenerate_phi_e},
-            "rates": {m: rep.rate(m) for m in (PHI_N, PHI_W, PHI_E)},
+            "rates": rep.rates,
             "mc_se": {m: rep.mc_se(m) for m in (PHI_N, PHI_W, PHI_E)},
             "error_count": rep.error_count,
         })

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CountingProcessPanel
+from .data import CountingProcessPanel, DataError
 from .stepfun import StepFunction
 
 
@@ -173,12 +173,7 @@ def zeta_hat(panel: CountingProcessPanel,
     determine the whole surface; the dense matrix below is that exact sum,
     just evaluated through the factorization.
     """
-    if grid is None:
-        grid = panel.times
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or (grid.size and not np.all(np.diff(grid) > 0)):
-        raise ValueError("grid must be a strictly increasing 1-d array")
-
+    grid = check_grid(panel.times if grid is None else grid)
     tab = plugin_tables(panel)
     w1 = float(panel.n) * tab.d1 / tab.at_risk**2
     w2 = float(panel.n) * tab.d2 / tab.at_risk**2
@@ -193,6 +188,16 @@ def zeta_hat(panel: CountingProcessPanel,
     return (a0[lo]
             - a1[lo] * np.add.outer(f1g, f1g)
             + a2[lo] * np.outer(f1g, f1g))
+
+
+def check_grid(grid) -> np.ndarray:
+    """``grid`` as a float array, which must be finite, 1-d and strictly
+    increasing (a NaN point would read 0 in the resampled processes)."""
+    grid = np.asarray(grid, dtype=float)
+    if (grid.ndim != 1 or not np.all(np.isfinite(grid))
+            or not np.all(np.diff(grid) > 0)):
+        raise DataError("grid must be a finite, strictly increasing 1-d array")
+    return grid
 
 
 def _check_cause(cause: int):

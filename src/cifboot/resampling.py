@@ -16,17 +16,16 @@ from typing import Callable
 import numpy as np
 
 from .data import CountingProcessPanel, DataError
-from .estimators import aalen_johansen, jump_table, plugin_tables
+from .estimators import aalen_johansen, check_grid, jump_table, plugin_tables
 from .stepfun import StepFunction
 
 EFRON = "efron"
 WILD_NORMAL = "wild-normal"
 WILD_POISSON = "wild-poisson"
-WILD_CUSTOM = "wild-custom"
 IID_WEIGHTED = "iid-weighted"
 BAYESIAN = "bayesian"
 
-_KINDS = (EFRON, WILD_NORMAL, WILD_POISSON, WILD_CUSTOM, IID_WEIGHTED, BAYESIAN)
+_KINDS = (EFRON, WILD_NORMAL, WILD_POISSON, IID_WEIGHTED, BAYESIAN)
 
 
 @dataclass(frozen=True)
@@ -34,16 +33,14 @@ class WeightScheme:
     """A named weight generator.
 
     kind must be one of: "efron" (multinomial counts minus 1), "wild-normal"
-    (iid standard normal), "wild-poisson" (iid Poisson(1) - 1), "wild-custom"
-    (user sampler, must be iid mean 0 variance 1), "iid-weighted"
-    (normalized positive iid weights eta/etabar - 1 over C_eta), "bayesian"
-    (iid-weighted with standard exponential eta, C_eta = 1).  ``sampler``
-    belongs to wild-custom and the three eta fields to iid-weighted; any
-    other kind refuses them.
+    (iid standard normal), "wild-poisson" (iid Poisson(1) - 1),
+    "iid-weighted" (normalized positive iid weights eta/etabar - 1 over
+    C_eta), "bayesian" (iid-weighted with standard exponential eta,
+    C_eta = 1).  The three eta fields belong to iid-weighted, which needs
+    them all; any other kind refuses them.
     """
 
     kind: str
-    sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
     eta_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
     mu_eta: float | None = None
     sigma_eta: float | None = None
@@ -51,26 +48,25 @@ class WeightScheme:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DataError(f"unknown weight scheme {self.kind!r}")
-        for name, owner in (("sampler", WILD_CUSTOM), ("eta_sampler", IID_WEIGHTED),
-                            ("mu_eta", IID_WEIGHTED), ("sigma_eta", IID_WEIGHTED)):
-            if getattr(self, name) is not None and self.kind != owner:
-                raise DataError(f"{name} belongs to the {owner} scheme; the "
-                                f"{self.kind} scheme does not use it")
-        if self.kind == WILD_CUSTOM and self.sampler is None:
-            raise DataError("wild-custom scheme needs a sampler")
-        if self.kind == IID_WEIGHTED:
-            if self.eta_sampler is None or self.mu_eta is None or self.sigma_eta is None:
-                raise DataError("iid-weighted scheme needs eta_sampler, mu_eta and sigma_eta")
-            if not 0 < self.sigma_eta < np.inf:
-                raise DataError("iid-weighted scheme needs a finite sigma_eta > 0")
-            if not 0 < self.mu_eta < np.inf:
-                raise DataError("iid-weighted scheme needs a finite mu_eta > 0 "
-                                "(positive weights)")
+        if self.kind != IID_WEIGHTED:
+            for name in ("eta_sampler", "mu_eta", "sigma_eta"):
+                if getattr(self, name) is not None:
+                    raise DataError(f"{name} belongs to the {IID_WEIGHTED} "
+                                    f"scheme; the {self.kind} scheme does "
+                                    f"not use it")
+            return
+        if self.eta_sampler is None or self.mu_eta is None or self.sigma_eta is None:
+            raise DataError("iid-weighted scheme needs eta_sampler, mu_eta and sigma_eta")
+        if not 0 < self.sigma_eta < np.inf:
+            raise DataError("iid-weighted scheme needs a finite sigma_eta > 0")
+        if not 0 < self.mu_eta < np.inf:
+            raise DataError("iid-weighted scheme needs a finite mu_eta > 0 "
+                            "(positive weights)")
 
 
 def scheme_from_name(name: str) -> WeightScheme:
     """Construct a parameter-free scheme from its CLI name."""
-    if name == IID_WEIGHTED or name == WILD_CUSTOM:
+    if name == IID_WEIGHTED:
         raise DataError(f"scheme {name!r} needs parameters and has no CLI shorthand")
     return WeightScheme(name)
 
@@ -111,17 +107,14 @@ def draw_weights(scheme: WeightScheme, rows: int, m: int,
         eta /= eta.mean(axis=1, keepdims=True)
         eta -= 1.0
         return eta
-    # wild-custom and iid-weighted: the sampler contract is one vector per call
-    # each vector is copied into its row, so a sampler may reuse one buffer
-    sampler = scheme.sampler if scheme.kind == WILD_CUSTOM else scheme.eta_sampler
+    # iid-weighted: the eta_sampler contract is one vector per call; each
+    # vector is copied into its row, so a sampler may reuse one buffer
     w = np.empty((rows, m))
     for row in w:
-        draw = np.asarray(sampler(rng, m), dtype=float)
+        draw = np.asarray(scheme.eta_sampler(rng, m), dtype=float)
         if draw.shape != (m,):
             raise DataError(f"{scheme.kind} sampler returned wrong shape")
         row[:] = draw
-    if scheme.kind == WILD_CUSTOM:
-        return w
     if np.any(w <= 0):
         raise DataError("iid-weighted eta draws must be positive")
     w /= w.mean(axis=1, keepdims=True)
@@ -180,8 +173,7 @@ def build_z(panel: CountingProcessPanel) -> ZArray:
                   f1=aalen_johansen(panel, 1))
 
 
-def wild_process(panel: CountingProcessPanel, multipliers: np.ndarray,
-                 grid) -> np.ndarray:
+def wild_process(z: ZArray, multipliers: np.ndarray, grid) -> np.ndarray:
     """Wild bootstrap version of the normalized Aalen-Johansen process, at
     each point of ``grid``.
 
@@ -194,11 +186,11 @@ def wild_process(panel: CountingProcessPanel, multipliers: np.ndarray,
     ``multipliers`` is one (n,) vector, or a (rows, n) block giving (rows, G).
     """
     multipliers = np.asarray(multipliers, dtype=float)
-    if multipliers.shape[-1:] != (panel.n,):
+    if multipliers.shape[-1:] != (z.n,):
         raise DataError(f"need one multiplier per subject, got shape {multipliers.shape}")
-    e = build_z(panel).evaluate(np.atleast_1d(grid))
+    e = z.evaluate(check_grid(grid))
     # a subject has at most one nonzero slot, so folding the two is exact
-    return np.sqrt(panel.n) * (multipliers @ (e[:panel.n] + e[panel.n:]))
+    return np.sqrt(z.n) * (multipliers @ (e[:z.n] + e[z.n:]))
 
 
 def weighted_process(z: ZArray, weights: np.ndarray, grid) -> np.ndarray:
@@ -216,7 +208,7 @@ def weighted_process(z: ZArray, weights: np.ndarray, grid) -> np.ndarray:
     if weights.shape[-1:] != (z.size,):
         raise DataError(f"need {z.size} weights, got shape {weights.shape}")
     centered = weights - weights.mean(axis=-1, keepdims=True)
-    return np.sqrt(z.size) * (centered @ z.evaluate(np.atleast_1d(grid)))
+    return np.sqrt(z.size) * (centered @ z.evaluate(check_grid(grid)))
 
 
 def validate_weight_conditions(scheme: WeightScheme, m: int, draws: int,

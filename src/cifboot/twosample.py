@@ -286,12 +286,13 @@ def _result(prep: PreparedTest, config: TestConfig, method: str,
 
 
 def _replicate_kernel(pooled: PreparedTest, wi, vi2, vi=None):
-    """T* and V*^2 from wi = w.I, vi2 = v.I^2 and, for the correction term,
-    vi = v.I, with w and v rows of a weight block or single vectors.
+    """T* and V*^2 of a chunk of replicates from their sums wi = w.I,
+    vi2 = v.I^2 and, for the correction term, vi = v.I.
 
     T* = kappa w.I and V*^2 = kappa^2 v.I^2, less kappa^2 (v.I)^2 / m with
-    the correction.  Negative V*^2 (possible only with the correction) are
-    clipped to 0 here and counted; the count is the third value.
+    the correction (Efron: v = counts; wild: v = G^2, no correction).
+    Negative V*^2 (possible only with the correction) are clipped to 0 here
+    and counted; the count is the third value.
     """
     k2 = pooled.kappa**2
     tstar = pooled.kappa * wi
@@ -300,46 +301,6 @@ def _replicate_kernel(pooled: PreparedTest, wi, vi2, vi=None):
         vstar = vstar - k2 / pooled.size * vi**2
     truncated = int(np.count_nonzero(vstar < 0))
     return tstar, np.maximum(vstar, 0.0), truncated
-
-
-def _vector(pooled: PreparedTest, values, what: str) -> np.ndarray:
-    vec = np.asarray(values, dtype=float)
-    if vec.shape != (pooled.size,):
-        raise DataError(f"need {pooled.size} {what}, got shape {vec.shape}")
-    return vec
-
-
-def bootstrap_statistic(z_pooled: PreparedTest, weights, *,
-                        centered: bool = True) -> float:
-    """T_n*: the resampled statistic for one pooled weight vector.
-
-    The window and rho are already baked into ``z_pooled``.  Centering
-    subtracts the pooled mean of the weights, which integrates the Z-bar
-    term exactly; ``centered=False`` gives the wild variant that omits it.
-    """
-    w = _vector(z_pooled, weights, "weights")
-    if centered:
-        w = w - w.mean()
-    tstar, _, _ = _replicate_kernel(z_pooled, w @ z_pooled.integrals, 0.0)
-    return float(tstar)
-
-
-def bootstrap_variance(z_pooled: PreparedTest, v_weights, *,
-                       include_xi: bool = True) -> float:
-    """V_n*^2: the resampled variance for one nonnegative v-weight vector.
-
-    With the correction term (``include_xi=True``, the Efron convention
-    v = multinomial counts) the result can turn slightly negative in finite
-    samples; it is then clipped to 0, as in :func:`replicate_block`.  Wild
-    multipliers use v = G^2 and no correction.
-    """
-    v = _vector(z_pooled, v_weights, "v-weights")
-    if np.any(v < 0):
-        raise DataError("v-weights must be nonnegative")
-    i = z_pooled.integrals
-    _, vstar, _ = _replicate_kernel(
-        z_pooled, 0.0, v @ (i * i), v @ i if include_xi else None)
-    return float(vstar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,15 +373,10 @@ def replicate_block(pooled: PreparedTest, scheme: WeightScheme, B: int,
                           truncated=truncated)
 
 
-def critical_rank(alpha: float, B: int) -> int:
-    """Order-statistic rank of the bootstrap critical value."""
-    return math.ceil((1.0 - alpha) * (B + 1))
-
-
 def bootstrap_critical_value(replicates: np.ndarray, alpha: float) -> float:
     """The rank-ceil((1 - alpha)(B + 1)) order statistic of B replicates,
     or +inf when that rank exceeds B."""
-    rank = critical_rank(alpha, replicates.size)
+    rank = math.ceil((1.0 - alpha) * (replicates.size + 1))
     if rank > replicates.size:
         return math.inf
     return float(np.partition(replicates, rank - 1)[rank - 1])

@@ -336,6 +336,34 @@ def brute_xi_hat(bt: BruteTables, s):
 
 
 # ---------------------------------------------------------------------------
+# one-vector bootstrap forms: T* and V*^2 of a single pooled weight vector,
+# written from the formulas, as the dense reference for the package's thinned
+# replicate blocks; ``prep`` is anything with the pooled ``integrals`` I and
+# the scale ``kappa``
+
+def bootstrap_statistic(prep, weights, *, centered: bool = True) -> float:
+    """T* = kappa w.I; centering replaces w by w - wbar (Efron), and the
+    wild variant leaves w as drawn."""
+    w = np.asarray(weights, dtype=float)
+    if centered:
+        w = w - w.mean()
+    return float(prep.kappa * (w @ prep.integrals))
+
+
+def bootstrap_variance(prep, v_weights, *, include_xi: bool = True) -> float:
+    """V*^2 = kappa^2 v.I^2 - kappa^2 / m (v.I)^2, the second term only with
+    the correction (Efron: v = counts; wild: v = G^2, no correction), clipped
+    to 0 when negative."""
+    v = np.asarray(v_weights, dtype=float)
+    i = prep.integrals
+    k2 = prep.kappa**2
+    value = k2 * (v @ (i * i))
+    if include_xi:
+        value -= k2 / i.size * (v @ i)**2
+    return max(float(value), 0.0)
+
+
+# ---------------------------------------------------------------------------
 # reference CSV reader: the csv-module row walk, frozen as the package read
 # files before its rows went through one C-level parse
 

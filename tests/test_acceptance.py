@@ -332,7 +332,7 @@ def test_criterion_5_covariance_limits():
     cov_w = np.cov(wstar.T)
 
     g = rng_w.standard_normal((B, n))
-    cov_g = np.cov(wild_process(panel, g, grid).T)
+    cov_g = np.cov(wild_process(z, g, grid).T)
 
     pairs = ((0.75, 0.75), (0.75, 1.5), (1.5, 1.5))
     idx = ((0, 0), (0, 1), (1, 1))

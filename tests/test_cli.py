@@ -491,6 +491,12 @@ def test_cli_validate_weights_rejects_parametrized_scheme(tmp_path, capsys):
     assert "no CLI shorthand" in capsys.readouterr().err
 
 
+def test_cli_validate_weights_rejects_wild_custom(tmp_path, capsys):
+    assert main(["validate-weights", "--scheme", "wild-custom", "--m", "8",
+                 "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+    assert "unknown weight scheme 'wild-custom'" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- misc
 
 def test_cli_version():

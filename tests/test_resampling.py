@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 
 import cifboot as cb
-from cifboot.resampling import (BAYESIAN, EFRON, IID_WEIGHTED, WILD_CUSTOM,
-                                WILD_NORMAL, WILD_POISSON, build_z,
-                                draw_weights, scheme_from_name,
-                                weighted_process, wild_process)
+from cifboot.resampling import (BAYESIAN, EFRON, IID_WEIGHTED, WILD_NORMAL,
+                                WILD_POISSON, build_z, draw_weights,
+                                scheme_from_name, weighted_process,
+                                wild_process)
 from cifboot.simulation import Group1Exp, draw_panel
 
 from conftest import build_panel, brute_from_panel, event_subjects, jumps_from_subs
@@ -20,7 +20,6 @@ ALL_SCHEMES = (
     cb.WeightScheme(WILD_NORMAL),
     cb.WeightScheme(WILD_POISSON),
     cb.WeightScheme(BAYESIAN),
-    cb.WeightScheme(WILD_CUSTOM, sampler=lambda rng, m: rng.uniform(-1.5, 1.5, m)),
     cb.WeightScheme(IID_WEIGHTED, eta_sampler=lambda rng, m: rng.gamma(2.0, size=m),
                     mu_eta=2.0, sigma_eta=np.sqrt(2.0)),
 )
@@ -57,8 +56,6 @@ def brute_z_values(bt, jumps, s):
 def test_scheme_validation():
     with pytest.raises(cb.DataError, match="unknown weight scheme"):
         cb.WeightScheme("jackknife")
-    with pytest.raises(cb.DataError, match="sampler"):
-        cb.WeightScheme(WILD_CUSTOM)
     with pytest.raises(cb.DataError, match="eta_sampler"):
         cb.WeightScheme(IID_WEIGHTED)
     with pytest.raises(cb.DataError, match="sigma_eta > 0"):
@@ -71,18 +68,14 @@ def test_scheme_validation():
     def f(rng, m):
         return rng.standard_normal(m)
 
-    with pytest.raises(cb.DataError, match="sampler .*wild-normal scheme"):
-        cb.WeightScheme(WILD_NORMAL, sampler=f)
-    with pytest.raises(cb.DataError, match="sampler .*iid-weighted scheme"):
-        cb.WeightScheme(IID_WEIGHTED, sampler=f, eta_sampler=f, mu_eta=1.0,
-                        sigma_eta=1.0)
+    with pytest.raises(cb.DataError, match="eta_sampler .*wild-normal scheme"):
+        cb.WeightScheme(WILD_NORMAL, eta_sampler=f)
     with pytest.raises(cb.DataError, match="mu_eta .*efron scheme"):
         cb.WeightScheme(EFRON, mu_eta=1.0, sigma_eta=-5.0)
     for name in ("eta_sampler", "mu_eta", "sigma_eta"):
-        for kind in (EFRON, WILD_CUSTOM, BAYESIAN):
-            extra = {"sampler": f} if kind == WILD_CUSTOM else {}
+        for kind in (EFRON, WILD_NORMAL, WILD_POISSON, BAYESIAN):
             with pytest.raises(cb.DataError, match=f"{name} .*{kind} scheme"):
-                cb.WeightScheme(kind, **extra, **{name: 1.0})
+                cb.WeightScheme(kind, **{name: 1.0})
 
 
 @pytest.mark.parametrize("field, value", [("mu_eta", np.inf),
@@ -99,9 +92,10 @@ def test_scheme_refuses_infinite_eta_moments(field, value):
 def test_scheme_from_name():
     for name in (EFRON, WILD_NORMAL, WILD_POISSON, BAYESIAN):
         assert scheme_from_name(name).kind == name
-    for name in (IID_WEIGHTED, WILD_CUSTOM):
-        with pytest.raises(cb.DataError, match="no CLI shorthand"):
-            scheme_from_name(name)
+    with pytest.raises(cb.DataError, match="no CLI shorthand"):
+        scheme_from_name(IID_WEIGHTED)
+    with pytest.raises(cb.DataError, match="unknown weight scheme"):
+        scheme_from_name("wild-custom")
 
 
 def test_multinomial_counts_single():
@@ -117,15 +111,17 @@ def test_draw_weights_block_matches_row_by_row():
     # a block is the stack of one-row draws, bit for bit, and leaves the
     # generator where the one-row draws leave it, so chunking is invisible;
     # it is a fresh writable array (the moment pass centres it in place),
-    # also when a custom sampler refills one shared buffer
+    # also when an eta_sampler refills one shared buffer
     m, rows = 7, 40
     buffer = np.empty(m)
 
     def refill(rng, m):
-        buffer[:] = rng.uniform(-1.5, 1.5, m)
+        buffer[:] = rng.gamma(2.0, size=m)
         return buffer
 
-    for scheme in ALL_SCHEMES + (cb.WeightScheme(WILD_CUSTOM, sampler=refill),):
+    shared = cb.WeightScheme(IID_WEIGHTED, eta_sampler=refill, mu_eta=2.0,
+                             sigma_eta=np.sqrt(2.0))
+    for scheme in ALL_SCHEMES + (shared,):
         rng_block, rng_rows = np.random.default_rng(11), np.random.default_rng(11)
         block = draw_weights(scheme, rows, m, rng_block)
         stacked = np.stack([one_row(scheme, m, rng_rows) for _ in range(rows)])
@@ -171,12 +167,17 @@ def test_wild_weights_basic():
 
 
 def test_custom_sampler_used_and_checked():
-    scheme = cb.WeightScheme(WILD_CUSTOM,
-                             sampler=lambda rng, m: np.full(m, 0.0))
-    w = one_row(scheme, 4, np.random.default_rng(0))
+    # iid-weighted draws through its eta_sampler, one vector per row: equal
+    # etas give eta/etabar - 1 = 0 exactly, and a wrong shape is refused
+    def iid(eta_sampler):
+        return cb.WeightScheme(IID_WEIGHTED, eta_sampler=eta_sampler,
+                               mu_eta=1.0, sigma_eta=1.0)
+
+    w = one_row(iid(lambda rng, m: np.full(m, 2.0)), 4,
+                np.random.default_rng(0))
     np.testing.assert_array_equal(w, 0.0)
 
-    bad = cb.WeightScheme(WILD_CUSTOM, sampler=lambda rng, m: np.zeros(m + 1))
+    bad = iid(lambda rng, m: np.ones(m + 1))
     with pytest.raises(cb.DataError, match="shape"):
         one_row(bad, 4, np.random.default_rng(0))
 
@@ -265,7 +266,7 @@ def test_wild_process_matches_entry_sum():
     z = build_z(panel)
     g = np.array([1.0, -1.0, 2.0])
     grid = np.array([0.5, 1.0, 2.0, 3.0])
-    values = wild_process(panel, g, grid)
+    values = wild_process(z, g, grid)
     g2 = np.concatenate((g, g))
     expected = [np.sqrt(3) * float(g2 @ z.evaluate(s)) for s in grid]
     np.testing.assert_allclose(values, expected, rtol=1e-14, atol=1e-15)
@@ -273,13 +274,13 @@ def test_wild_process_matches_entry_sum():
 
 
 def test_wild_process_shape_check():
-    panel = build_panel(HAND)
+    z = build_z(build_panel(HAND))
     with pytest.raises(cb.DataError, match="one multiplier per subject"):
-        wild_process(panel, np.ones(4), [1.0])
+        wild_process(z, np.ones(4), [1.0])
     with pytest.raises(cb.DataError, match="one multiplier per subject"):
-        wild_process(panel, np.ones((3, 4)), [1.0])
+        wild_process(z, np.ones((3, 4)), [1.0])
     with pytest.raises(cb.DataError, match="one multiplier per subject"):
-        wild_process(panel, 1.0, [1.0])
+        wild_process(z, 1.0, [1.0])
 
 
 def test_weighted_process_constant_weights_vanish():
@@ -334,18 +335,32 @@ def test_process_blocks_match_one_vector_calls():
     z = build_z(panel)
     grid = np.linspace(0.1, 1.5, 29)
     rng = np.random.default_rng(5)
-    for process, arg, scheme, m in (
-            (weighted_process, z, cb.WeightScheme(EFRON), z.size),
-            (wild_process, panel, cb.WeightScheme(WILD_NORMAL), panel.n)):
+    for process, scheme, m in (
+            (weighted_process, cb.WeightScheme(EFRON), z.size),
+            (wild_process, cb.WeightScheme(WILD_NORMAL), z.n)):
         block = draw_weights(scheme, 6, m, rng)
-        got = process(arg, block, grid)
+        got = process(z, block, grid)
         assert got.shape == (6, grid.size)
-        rows = np.array([process(arg, w, grid) for w in block])
+        rows = np.array([process(z, w, grid) for w in block])
         np.testing.assert_allclose(got, rows, rtol=0,
                                    atol=1e-13 * np.max(np.abs(rows)))
-        np.testing.assert_allclose(process(arg, block.reshape(2, 3, m), grid),
+        np.testing.assert_allclose(process(z, block.reshape(2, 3, m), grid),
                                    rows.reshape(2, 3, grid.size), rtol=0,
                                    atol=1e-13 * np.max(np.abs(rows)))
+
+
+@pytest.mark.parametrize("grid", [[np.nan, 1.0], [0.5, np.inf], [-np.inf, 1.0],
+                                  [[0.5, 1.0]], [2.0, 1.0], [1.0, 1.0]])
+def test_grids_must_be_finite_increasing_vectors(grid):
+    # unchecked, a NaN point reads 0 in both process forms (jump_time <= nan
+    # is False) and a 2-d grid fails inside the matrix product
+    panel = build_panel(HAND)
+    z = build_z(panel)
+    for call in (lambda: cb.zeta_hat(panel, grid),
+                 lambda: wild_process(z, np.ones(z.n), grid),
+                 lambda: weighted_process(z, np.ones(z.size), grid)):
+        with pytest.raises(cb.DataError, match="finite, strictly increasing"):
+            call()
 
 
 # ---------------------------------------------------------------- validation
