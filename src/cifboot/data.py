@@ -231,16 +231,17 @@ def ingest_csv(path, *, entry_col: str = "entry", exit_col: str = "exit",
                cause1_code: str = "1", cause2_code: str = "2") -> Sample:
     """Read a sample from a headed CSV file.
 
-    The exit and status columns are required; the entry column is used when
-    present and defaults to 0 otherwise.  Status codes are compared as
-    stripped strings against the three configured codes.  Empty lines are
-    skipped.  Rows get the same checks as :func:`compile_panel_arrays`, and
-    every error names a file line.  The checks run column by column (field
-    count, exit, entry, status code, then the row check), so with several
-    bad rows the first row failing the earliest check is the one named.
-    The file must be UTF-8; a leading byte-order mark is ignored.  A header
-    that names the entry, exit or status column twice is an error, and so
-    is one name given to two of those roles.
+    The exit and status columns are required, and so is the entry column
+    under any name but the default ``entry``, whose absence means every
+    entry time is 0.  Status codes are compared as stripped strings against
+    the three configured codes.  Empty lines are skipped.  Rows get the
+    same checks as :func:`compile_panel_arrays`, and every error names a
+    file line.  The checks run column by column (field count, exit, entry,
+    status code, then the row check), so with several bad rows the first
+    row failing the earliest check is the one named.  The file must be
+    UTF-8; a leading byte-order mark is ignored.  A header that names the
+    entry, exit or status column twice is an error, and so is one name
+    given to two of those roles.
 
     The rows are parsed in one C pass (``np.loadtxt``).  Where that parse
     fails, or its rows fail a check, the csv-module walk of
@@ -267,7 +268,11 @@ def ingest_csv(path, *, entry_col: str = "entry", exit_col: str = "exit",
     reader = csv.reader(stream)
     header = next(reader, [])
     col = {name: j for j, name in enumerate(header)}
-    for name in (exit_col, status_col):
+    # only the default entry column may be absent: a misspelt name given
+    # for it would otherwise drop the left truncation without a word
+    required = ((exit_col, status_col) if entry_col == "entry"
+                else (entry_col, exit_col, status_col))
+    for name in required:
         if name not in col:
             raise DataError(f"missing required column {name!r} in {path}")
     for name in (entry_col, exit_col, status_col):

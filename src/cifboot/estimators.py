@@ -41,6 +41,12 @@ class PluginTables:
     def s2_left(self) -> np.ndarray:
         return 1.0 - self.f2_left
 
+    def f1_at(self, s) -> np.ndarray:
+        """F1 at the times ``s``: the value at the last grid time <= s, 0
+        before the first."""
+        return np.concatenate(([0.0], self.f1))[
+            np.searchsorted(self.times, s, side="right")]
+
 
 def plugin_tables(panel: CountingProcessPanel) -> PluginTables:
     """Compute the shared estimator tables for a panel.
@@ -74,29 +80,6 @@ def plugin_tables(panel: CountingProcessPanel) -> PluginTables:
         f1=f1, f1_left=f1_left, f2=f2, f2_left=f2_left,
         na1_left=na1_left, na2_left=na2_left,
     )
-
-
-def jump_table(panel: CountingProcessPanel,
-               tab: PluginTables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-entry (jump time u, Y(u), left-limit factor) for the 2n pooled slots.
-
-    Slot i < n is subject i's cause-1 entry, slot n + i its cause-2 entry;
-    the factor is S2(u-) for cause 1 and F1(u-) for cause 2.  A slot whose
-    cause the subject did not fail from (including every censored subject's
-    two slots) is inactive: (+inf, 1.0, 0.0).
-    """
-    jump_idx = panel.subject_jumps[:, 0]
-    cause = panel.subject_jumps[:, 1]
-    safe = np.clip(jump_idx, 0, None)
-    u = tab.times[safe]
-    y = tab.at_risk[safe]
-    is1 = cause == 1
-    is2 = cause == 2
-    jump_time = np.concatenate((np.where(is1, u, np.inf), np.where(is2, u, np.inf)))
-    at_risk = np.concatenate((np.where(is1, y, 1.0), np.where(is2, y, 1.0)))
-    factor = np.concatenate((np.where(is1, tab.s2_left[safe], 0.0),
-                             np.where(is2, tab.f1_left[safe], 0.0)))
-    return jump_time, at_risk, factor
 
 
 def _step(times: np.ndarray, values: np.ndarray, keep: np.ndarray,
@@ -180,10 +163,9 @@ def zeta_hat(panel: CountingProcessPanel,
     a0 = np.concatenate(([0.0], np.cumsum(tab.s2_left**2 * w1 + tab.f1_left**2 * w2)))
     a1 = np.concatenate(([0.0], np.cumsum(tab.s2_left * w1 + tab.f1_left * w2)))
     a2 = np.concatenate(([0.0], np.cumsum(w1 + w2)))
-    f1_pad = np.concatenate(([0.0], tab.f1))
 
+    f1g = tab.f1_at(grid)
     idx = np.searchsorted(tab.times, grid, side="right")
-    f1g = f1_pad[idx]
     lo = np.minimum.outer(idx, idx)
     return (a0[lo]
             - a1[lo] * np.add.outer(f1g, f1g)

@@ -16,8 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .data import CountingProcessPanel, DataError
-from .estimators import aalen_johansen, check_grid, jump_table, plugin_tables
-from .stepfun import StepFunction
+from .estimators import PluginTables, check_grid, plugin_tables
 
 EFRON = "efron"
 WILD_NORMAL = "wild-normal"
@@ -140,15 +139,17 @@ class ZArray:
     Entry i < n is subject i's cause-1 contribution, entry n + i the cause-2
     one.  An active entry holds its jump time u, the at-risk count Y(u) and
     the left-limit factor (S2(u-) for cause 1, F1(u-) for cause 2); entry
-    value at s is (factor - F1(s)) / Y(u) once u <= s.  Censored subjects'
-    entries never activate (jump time +inf), so they are identically zero.
+    value at s is (factor - F1(s)) / Y(u) once u <= s.  An entry whose cause
+    the subject did not fail from (including both of a censored subject's)
+    is inactive, (+inf, 1.0, 0.0), so it is identically zero.  ``tab`` holds
+    the panel's plug-in tables the entries were read from.
     """
 
     n: int
     jump_time: np.ndarray = field(repr=False)
     at_risk: np.ndarray = field(repr=False)
     factor: np.ndarray = field(repr=False)
-    f1: StepFunction = field(repr=False)
+    tab: PluginTables = field(repr=False)
 
     def __post_init__(self):
         for arr in (self.jump_time, self.at_risk, self.factor):
@@ -158,19 +159,28 @@ class ZArray:
     def size(self) -> int:
         return 2 * self.n
 
-    def evaluate(self, s) -> np.ndarray:
-        """Entry values at time s: the (2n,) vector for one time, the (2n, G)
-        matrix E for a grid of G times (column g at the g-th time)."""
-        s = np.asarray(s, dtype=float)
-        col = (slice(None),) + (None,) * s.ndim
-        return np.where(self.jump_time[col] <= s,
-                        (self.factor[col] - self.f1(s)) / self.at_risk[col], 0.0)
+    def evaluate(self, grid) -> np.ndarray:
+        """The (2n, G) matrix E of entry values on a grid of G times, column
+        g at the g-th time."""
+        grid = check_grid(grid)
+        return np.where(self.jump_time[:, None] <= grid,
+                        (self.factor[:, None] - self.tab.f1_at(grid))
+                        / self.at_risk[:, None], 0.0)
 
 
 def build_z(panel: CountingProcessPanel) -> ZArray:
-    """Assemble the 2n-entry Z array of a panel."""
-    return ZArray(panel.n, *jump_table(panel, plugin_tables(panel)),
-                  f1=aalen_johansen(panel, 1))
+    """Assemble the 2n-entry Z array of a panel from one plug-in pass."""
+    tab = plugin_tables(panel)
+    safe = np.clip(panel.subject_jumps[:, 0], 0, None)
+    is1, is2 = (panel.subject_jumps[:, 1] == cause for cause in (1, 2))
+
+    def slots(cause1, cause2, inactive):
+        return np.concatenate((np.where(is1, cause1, inactive),
+                               np.where(is2, cause2, inactive)))
+
+    u, y = tab.times[safe], tab.at_risk[safe]
+    return ZArray(panel.n, slots(u, u, np.inf), slots(y, y, 1.0),
+                  slots(tab.s2_left[safe], tab.f1_left[safe], 0.0), tab)
 
 
 def wild_process(z: ZArray, multipliers: np.ndarray, grid) -> np.ndarray:
@@ -188,7 +198,7 @@ def wild_process(z: ZArray, multipliers: np.ndarray, grid) -> np.ndarray:
     multipliers = np.asarray(multipliers, dtype=float)
     if multipliers.shape[-1:] != (z.n,):
         raise DataError(f"need one multiplier per subject, got shape {multipliers.shape}")
-    e = z.evaluate(check_grid(grid))
+    e = z.evaluate(grid)
     # a subject has at most one nonzero slot, so folding the two is exact
     return np.sqrt(z.n) * (multipliers @ (e[:z.n] + e[z.n:]))
 
@@ -208,7 +218,7 @@ def weighted_process(z: ZArray, weights: np.ndarray, grid) -> np.ndarray:
     if weights.shape[-1:] != (z.size,):
         raise DataError(f"need {z.size} weights, got shape {weights.shape}")
     centered = weights - weights.mean(axis=-1, keepdims=True)
-    return np.sqrt(z.size) * (centered @ z.evaluate(check_grid(grid)))
+    return np.sqrt(z.size) * (centered @ z.evaluate(grid))
 
 
 def validate_weight_conditions(scheme: WeightScheme, m: int, draws: int,

@@ -29,9 +29,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import CountingProcessPanel, DataError
-from .estimators import PluginTables, jump_table, plugin_tables
-from .resampling import (BAYESIAN, EFRON, IID_WEIGHTED, WeightScheme,
-                         draw_weights, row_chunks)
+from .resampling import (BAYESIAN, EFRON, IID_WEIGHTED, WeightScheme, ZArray,
+                         build_z, draw_weights, row_chunks)
 from .stepfun import CONSTANT_ONE, StepFunction
 
 _NORMAL = NormalDist()
@@ -183,8 +182,7 @@ def effective_window(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
     return config.t1, t2_eff
 
 
-def _group_integrals(tab: PluginTables, panel: CountingProcessPanel,
-                     t1: float, t2: float, rho: StepFunction,
+def _group_integrals(z: ZArray, t1: float, t2: float, rho: StepFunction,
                      sign: float) -> tuple[np.ndarray, float]:
     """Per-entry window integrals of one group's Z functions, segment-exact,
     and the group's window integral of rho * F1.
@@ -200,24 +198,22 @@ def _group_integrals(tab: PluginTables, panel: CountingProcessPanel,
     grid's last point, where both tails are exactly zero.  The window
     integral P(t1) is summed pairwise, not read off the suffix sum.
     """
+    tab = z.tab
     event_times = tab.times[(tab.d1 + tab.d2) > 0]
     inner = event_times[(event_times > t1) & (event_times < t2)]
     pts = np.unique(np.concatenate((
         np.array([t1, t2]), inner, rho.breakpoints_in(t1, t2))))
     dt = np.diff(pts)
     rho_v = np.asarray(rho(pts[:-1]), dtype=float)
-    f1_v = np.concatenate(([0.0], tab.f1))[
-        np.searchsorted(tab.times, pts[:-1], side="right")]
-    rho_f1_dt = rho_v * f1_v * dt
+    rho_f1_dt = rho_v * tab.f1_at(pts[:-1]) * dt
     tail_rho = np.concatenate((np.cumsum((rho_v * dt)[::-1])[::-1], [0.0]))
     tail_rho_f1 = np.concatenate((np.cumsum(rho_f1_dt[::-1])[::-1], [0.0]))
 
-    u, y, factor = jump_table(panel, tab)
     # active jump times are grid members by construction, so searchsorted
     # lands exactly on them; inactive (+inf) and out-of-window entries clamp
     # to t2 where the tails vanish, and their factor is 0
-    pos = np.searchsorted(pts, np.minimum(np.maximum(u, t1), t2))
-    return (sign * ((factor * tail_rho[pos] - tail_rho_f1[pos]) / y),
+    pos = np.searchsorted(pts, np.minimum(np.maximum(z.jump_time, t1), t2))
+    return (sign * ((z.factor * tail_rho[pos] - tail_rho_f1[pos]) / z.at_risk),
             float(np.sum(rho_f1_dt)))
 
 
@@ -238,11 +234,9 @@ def prepare_test(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
         if panel.n < 2:
             raise DataError("two-sample tests need at least 2 subjects per group")
     t1, t2 = effective_window(panel1, panel2, config)
-    tab1 = plugin_tables(panel1)
-    tab2 = plugin_tables(panel2)
     rho = config.rho_or_one
-    i1, s1 = _group_integrals(tab1, panel1, t1, t2, rho, +1.0)
-    i2, s2 = _group_integrals(tab2, panel2, t1, t2, rho, -1.0)
+    i1, s1 = _group_integrals(build_z(panel1), t1, t2, rho, +1.0)
+    i2, s2 = _group_integrals(build_z(panel2), t1, t2, rho, -1.0)
     kappa = _kappa(panel1.n, panel2.n)
     return PreparedTest(
         n1=panel1.n, n2=panel2.n, t1=t1, t2=t2, requested_t2=config.t2,

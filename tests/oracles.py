@@ -402,7 +402,9 @@ def reference_ingest_csv(path, *, entry_col="entry", exit_col="exit",
         reader = csv.reader(fh)
         header = next(reader, [])
         col = {name: j for j, name in enumerate(header)}
-        for name in (exit_col, status_col):
+        required = ((exit_col, status_col) if entry_col == "entry"
+                    else (entry_col, exit_col, status_col))
+        for name in required:
             if name not in col:
                 raise ReferenceDataError(
                     f"missing required column {name!r} in {path}")

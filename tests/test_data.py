@@ -215,6 +215,16 @@ def test_ingest_csv_entry_column_optional(tmp_path):
     assert sample.entry.tolist() == [0.0, 0.0]
 
 
+def test_ingest_csv_named_entry_column_is_required(tmp_path):
+    # only the default name may be absent; a misspelt one would read every
+    # entry as 0 and drop the left truncation
+    path = tmp_path / "start.csv"
+    path.write_text("start,exit,status\n0.5,1,1\n0,2,2\n")
+    with pytest.raises(cb.DataError, match="missing required column 'strat'"):
+        cb.ingest_csv(path, entry_col="strat")
+    assert cb.ingest_csv(path, entry_col="start").entry.tolist() == [0.5, 0.0]
+
+
 def test_ingest_csv_missing_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("exit,outcome\n1,1\n")

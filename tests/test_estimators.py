@@ -77,6 +77,32 @@ def test_cif_stops_after_survival_hits_zero():
     assert f1.final_value == pytest.approx(1.0, abs=1e-15)
 
 
+def _assert_f1_lookup_is_aalen_johansen(panel):
+    # before, at, between and after the grid times, in no particular order
+    t = panel.times
+    s = np.concatenate(([0.0, np.inf], t, t - 0.25, t + 0.25, t[::-1]))
+    want = cb.aalen_johansen(panel, 1)(s)
+    assert plugin_tables(panel).f1_at(s).tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(subjects(n_max=10, truncated=True))
+def test_f1_table_lookup_is_the_aalen_johansen_step_function(subs):
+    # the Z entries and the window integrals read F1 off the plug-in
+    # tables; the values are those of the step function, bit for bit
+    _assert_f1_lookup_is_aalen_johansen(build_panel(subs))
+
+
+def test_f1_table_lookup_after_survival_hits_zero():
+    # the risk set empties at t=1, so the late entrants' events (both
+    # causes, one censoring) add zero increments the step function drops
+    panel = build_panel([(0, 2, 1), (0, 2, 2), (3, 6, 1), (3, 7, 0),
+                         (3, 8, 2), (4, 9, 1)])
+    tab = plugin_tables(panel)
+    assert tab.km[0] == 0.0 and tab.d1[1:].sum() > 0
+    _assert_f1_lookup_is_aalen_johansen(panel)
+
+
 @settings(max_examples=150, deadline=None)
 @given(event_subjects(n_min=2, n_max=9, truncated=True))
 def test_tables_match_exact_rational_route(subs):
@@ -231,5 +257,5 @@ def test_entry_sum_approaches_xi_hat():
     # before the first run
     for n in (200, 2000, 20000):
         panel = draw_panel(Group1Exp(), n, 0.0, np.random.default_rng(5))
-        s = cb.build_z(panel).evaluate(0.75).sum()
+        s = cb.build_z(panel).evaluate([0.75])[:, 0].sum()
         assert abs(s - cb.xi_hat(panel)(0.75)) <= 2.0 / n

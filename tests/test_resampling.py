@@ -213,21 +213,21 @@ def test_z_entries_hand_values():
     panel = build_panel(HAND)
     z = build_z(panel)
     assert z.size == 6
+    at1, at3 = z.evaluate([1.0])[:, 0], z.evaluate([3.0])[:, 0]
     # subject 1, cause-1 slot: (S2(1-) - F1(1)) / Y(1) = (1 - 1/3) / 3
-    assert z.evaluate(1.0)[0] == pytest.approx(2 / 9, abs=1e-15)
+    assert at1[0] == pytest.approx(2 / 9, abs=1e-15)
     # subject 2, cause-2 slot at s=3: (F1(2-) - F1(3)) / Y(2) = (1/3 - 2/3) / 2
-    assert z.evaluate(3.0)[4] == pytest.approx(-1 / 6, abs=1e-15)
+    assert at3[4] == pytest.approx(-1 / 6, abs=1e-15)
     # not yet active at s=1
-    assert z.evaluate(1.0)[4] == 0.0
+    assert at1[4] == 0.0
     # wrong-cause slots stay identically zero
-    vals = z.evaluate(3.0)
-    assert vals[1] == 0.0 and vals[3] == 0.0 and vals[5] == 0.0
+    assert at3[1] == 0.0 and at3[3] == 0.0 and at3[5] == 0.0
 
 
 def test_z_entries_censored_subject_is_zero():
     panel = build_panel([(0, 2, 1), (0, 4, 0)])
     z = build_z(panel)
-    vals = z.evaluate(10.0)
+    vals = z.evaluate([10.0])[:, 0]
     assert vals[1] == 0.0 and vals[3] == 0.0
     assert np.isinf(z.jump_time[1]) and np.isinf(z.jump_time[3])
 
@@ -240,7 +240,7 @@ def test_z_matches_exact_rational_route(subs):
     bt = brute_from_panel(panel)
     jumps = jumps_from_subs(subs)
     for s_half in (1, 4, 9, 12):
-        got = z.evaluate(s_half / 2)
+        got = z.evaluate([s_half / 2])[:, 0]
         want = brute_z_values(bt, jumps, Fraction(s_half, 2))
         np.testing.assert_allclose(got, [float(v) for v in want],
                                    rtol=1e-13, atol=1e-14)
@@ -251,11 +251,12 @@ def test_z_evaluate_grid_stacks_the_single_time_columns():
     for n, lam in ((100, 0.0), (2000, 0.5)):
         panel = draw_panel(Group1Exp(), n, lam, np.random.default_rng(n))
         z = build_z(panel)
-        grid = np.concatenate(([0.0, np.inf], np.linspace(0.05, 2.0, 27),
-                               panel.times[::max(1, n // 20)]))
+        grid = np.unique(np.concatenate((
+            [0.0, 2 * panel.last_time], np.linspace(0.05, 2.0, 27),
+            panel.times[::max(1, n // 20)])))
         e = z.evaluate(grid)
         assert e.shape == (2 * n, grid.size)
-        stacked = np.stack([z.evaluate(s) for s in grid], axis=1)
+        stacked = np.stack([z.evaluate([s])[:, 0] for s in grid], axis=1)
         assert e.tobytes() == stacked.tobytes()
 
 
@@ -268,7 +269,7 @@ def test_wild_process_matches_entry_sum():
     grid = np.array([0.5, 1.0, 2.0, 3.0])
     values = wild_process(z, g, grid)
     g2 = np.concatenate((g, g))
-    expected = [np.sqrt(3) * float(g2 @ z.evaluate(s)) for s in grid]
+    expected = [np.sqrt(3) * float(g2 @ z.evaluate([s])[:, 0]) for s in grid]
     np.testing.assert_allclose(values, expected, rtol=1e-14, atol=1e-15)
     assert values[0] == 0.0  # before the first jump
 
@@ -303,7 +304,7 @@ def test_weighted_process_matches_entry_sum():
     grid = np.array([1.0, 1.5, 3.0])
     values = weighted_process(z, w, grid)
     c = w - w.mean()
-    expected = [np.sqrt(6) * float(c @ z.evaluate(s)) for s in grid]
+    expected = [np.sqrt(6) * float(c @ z.evaluate([s])[:, 0]) for s in grid]
     np.testing.assert_allclose(values, expected, rtol=1e-13, atol=1e-15)
 
 
@@ -350,13 +351,16 @@ def test_process_blocks_match_one_vector_calls():
 
 
 @pytest.mark.parametrize("grid", [[np.nan, 1.0], [0.5, np.inf], [-np.inf, 1.0],
-                                  [[0.5, 1.0]], [2.0, 1.0], [1.0, 1.0]])
+                                  [[0.5, 1.0]], [2.0, 1.0], [1.0, 1.0],
+                                  np.nan, 1.0])
 def test_grids_must_be_finite_increasing_vectors(grid):
-    # unchecked, a NaN point reads 0 in both process forms (jump_time <= nan
-    # is False) and a 2-d grid fails inside the matrix product
+    # unchecked, a NaN point reads 0 in the entry matrix and both process
+    # forms (jump_time <= nan is False), and a 2-d grid or a scalar would
+    # not give the (2n, G) matrix; one time is the one-point grid [s]
     panel = build_panel(HAND)
     z = build_z(panel)
     for call in (lambda: cb.zeta_hat(panel, grid),
+                 lambda: z.evaluate(grid),
                  lambda: wild_process(z, np.ones(z.n), grid),
                  lambda: weighted_process(z, np.ones(z.size), grid)):
         with pytest.raises(cb.DataError, match="finite, strictly increasing"):
