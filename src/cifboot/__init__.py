@@ -15,9 +15,8 @@ from .estimators import (PluginTables, aalen_johansen, kaplan_meier,
                          zeta_hat)
 from .resampling import (BAYESIAN, EFRON, IID_WEIGHTED, WILD_NORMAL,
                          WILD_POISSON, WeightScheme, ZArray, build_z,
-                         draw_weights, scheme_from_name,
-                         validate_weight_conditions, weighted_process,
-                         wild_process)
+                         draw_weights, validate_weight_conditions,
+                         weighted_process, wild_process)
 from .rng import fresh_seed, substream
 from .simulation import (ConstantPair, Group1Exp, HazardModel,
                          MonteCarloReport, PiecewiseConstant, ScenarioConfig,

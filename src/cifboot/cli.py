@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from .data import DataError, check_positive_risk, compile_panel, ingest_csv
 from .estimators import aalen_johansen, kaplan_meier
-from .resampling import EFRON, WILD_NORMAL, WeightScheme, scheme_from_name, \
-    validate_weight_conditions
+from .resampling import (EFRON, WILD_NORMAL, WeightScheme,
+                         validate_weight_conditions)
 from .rng import fresh_seed, substream
 from .simulation import PHI_E, PHI_N, PHI_W, run_scenario, suite_configs
 from .stepfun import StepFunction
@@ -147,9 +147,10 @@ _OPTIONS = {
 def load_config(path: str, keys) -> dict[str, str]:
     """Read a flat key=value config file ('#' comments, blank lines ok).
 
-    Only ``keys`` are accepted; any other key is an error.
+    Only ``keys`` are accepted, each at most once; any other key, or a key
+    given twice (also as its dashed and underscored spellings), is an error.
     """
-    out = {}
+    out, seen = {}, {}
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -160,7 +161,11 @@ def load_config(path: str, keys) -> dict[str, str]:
                 if not sep:
                     raise DataError(
                         f"{path}:{lineno}: expected key=value, got {line!r}")
-                out[key.strip().replace("-", "_")] = val.strip()
+                key = key.strip().replace("-", "_")
+                if key in seen:
+                    raise DataError(f"{path}:{lineno}: config key {key} "
+                                    f"already set on line {seen[key]}")
+                out[key], seen[key] = val.strip(), lineno
     except OSError as exc:
         raise DataError(f"cannot read config file: {exc}") from None
     unknown = set(out) - set(keys)
@@ -384,7 +389,7 @@ def cmd_simulate(opts: dict):
 
 
 def cmd_validate_weights(opts: dict):
-    scheme, m = scheme_from_name(opts["scheme"]), opts["m"]
+    scheme, m = WeightScheme(opts["scheme"]), opts["m"]
     rng = substream(opts["seed"], f"validate-weights;{scheme.kind};m={m}", 0,
                     "weights")
     report = validate_weight_conditions(scheme, m, opts["draws"], rng)

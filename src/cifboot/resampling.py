@@ -33,41 +33,33 @@ class WeightScheme:
 
     kind must be one of: "efron" (multinomial counts minus 1), "wild-normal"
     (iid standard normal), "wild-poisson" (iid Poisson(1) - 1),
-    "iid-weighted" (normalized positive iid weights eta/etabar - 1 over
-    C_eta), "bayesian" (iid-weighted with standard exponential eta,
-    C_eta = 1).  The three eta fields belong to iid-weighted, which needs
-    them all; any other kind refuses them.
+    "iid-weighted" (positive iid eta normalized to (eta/etabar - 1) / C_eta,
+    C_eta = sigma_eta / mu_eta), "bayesian" (iid-weighted with standard
+    exponential eta, C_eta = 1).  iid-weighted needs ``eta_sampler(rng,
+    shape)``, which returns a (rows, m) block of eta drawn row after row as
+    numpy's ``size=`` draws, and a finite ``c_eta > 0``; any other kind
+    refuses both.
     """
 
     kind: str
-    eta_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
-    mu_eta: float | None = None
-    sigma_eta: float | None = None
+    eta_sampler: Callable[[np.random.Generator, tuple[int, int]],
+                          np.ndarray] | None = None
+    c_eta: float | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DataError(f"unknown weight scheme {self.kind!r}")
         if self.kind != IID_WEIGHTED:
-            for name in ("eta_sampler", "mu_eta", "sigma_eta"):
+            for name in ("eta_sampler", "c_eta"):
                 if getattr(self, name) is not None:
                     raise DataError(f"{name} belongs to the {IID_WEIGHTED} "
                                     f"scheme; the {self.kind} scheme does "
                                     f"not use it")
             return
-        if self.eta_sampler is None or self.mu_eta is None or self.sigma_eta is None:
-            raise DataError("iid-weighted scheme needs eta_sampler, mu_eta and sigma_eta")
-        if not 0 < self.sigma_eta < np.inf:
-            raise DataError("iid-weighted scheme needs a finite sigma_eta > 0")
-        if not 0 < self.mu_eta < np.inf:
-            raise DataError("iid-weighted scheme needs a finite mu_eta > 0 "
-                            "(positive weights)")
-
-
-def scheme_from_name(name: str) -> WeightScheme:
-    """Construct a parameter-free scheme from its CLI name."""
-    if name == IID_WEIGHTED:
-        raise DataError(f"scheme {name!r} needs parameters and has no CLI shorthand")
-    return WeightScheme(name)
+        if self.eta_sampler is None or self.c_eta is None:
+            raise DataError("iid-weighted scheme needs eta_sampler and c_eta")
+        if not 0 < self.c_eta < np.inf:
+            raise DataError("iid-weighted scheme needs a finite c_eta > 0")
 
 
 # Every weight loop works in chunks of about _CHUNK_ELEMS entries (1 MiB of
@@ -85,7 +77,8 @@ def draw_weights(scheme: WeightScheme, rows: int, m: int,
     """A (rows, m) block of weight vectors, one per row, for the given scheme.
 
     A block consumes the generator exactly as ``rows`` one-row calls would,
-    so the way a run is split into blocks never changes the draws.
+    so the way a run is split into blocks never changes the draws; an
+    iid-weighted ``eta_sampler`` must keep that contract for its blocks.
     """
     if m < 1:
         raise DataError(f"weight vector length must be >= 1, got {m}")
@@ -102,24 +95,20 @@ def draw_weights(scheme: WeightScheme, rows: int, m: int,
     if scheme.kind == WILD_POISSON:
         return rng.poisson(1.0, (rows, m)) - 1.0
     if scheme.kind == BAYESIAN:
-        eta = rng.standard_exponential((rows, m))
-        eta /= eta.mean(axis=1, keepdims=True)
-        eta -= 1.0
-        return eta
-    # iid-weighted: the eta_sampler contract is one vector per call; each
-    # vector is copied into its row, so a sampler may reuse one buffer
-    w = np.empty((rows, m))
-    for row in w:
-        draw = np.asarray(scheme.eta_sampler(rng, m), dtype=float)
-        if draw.shape != (m,):
-            raise DataError(f"{scheme.kind} sampler returned wrong shape")
-        row[:] = draw
-    if np.any(w <= 0):
-        raise DataError("iid-weighted eta draws must be positive")
-    w /= w.mean(axis=1, keepdims=True)
-    w -= 1.0
-    w /= scheme.sigma_eta / scheme.mu_eta
-    return w
+        eta, c_eta = rng.standard_exponential((rows, m)), 1.0
+    else:
+        # copied, so a sampler may hand back one buffer it refills
+        eta = np.array(scheme.eta_sampler(rng, (rows, m)), dtype=float)
+        if eta.shape != (rows, m):
+            raise DataError(f"eta sampler returned shape {eta.shape}, "
+                            f"expected {(rows, m)}")
+        if not np.all(eta > 0):  # NaN too
+            raise DataError("iid-weighted eta draws must be positive")
+        c_eta = scheme.c_eta
+    eta /= eta.mean(axis=1, keepdims=True)
+    eta -= 1.0
+    eta /= c_eta
+    return eta
 
 
 def row_chunks(rows: int, m: int):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from statistics import NormalDist
 
 import numpy as np
@@ -369,8 +370,13 @@ def replicate_block(pooled: PreparedTest, scheme: WeightScheme, B: int,
 
 def bootstrap_critical_value(replicates: np.ndarray, alpha: float) -> float:
     """The rank-ceil((1 - alpha)(B + 1)) order statistic of B replicates,
-    or +inf when that rank exceeds B."""
-    rank = math.ceil((1.0 - alpha) * (replicates.size + 1))
+    or +inf when that rank exceeds B.
+
+    The rank is exact for the decimal alpha; ``1.0 - alpha`` can round up
+    past an integer (alpha = 0.18, B = 999 would give rank 821, not 820).
+    """
+    num, den = Decimal(str(alpha)).as_integer_ratio()
+    rank = -(-(den - num) * (replicates.size + 1) // den)
     if rank > replicates.size:
         return math.inf
     return float(np.partition(replicates, rank - 1)[rank - 1])

@@ -80,6 +80,21 @@ def test_load_config(tmp_path):
         load_config(str(tmp_path / "missing.cfg"), keys)
 
 
+def test_load_config_refuses_a_key_given_twice(tmp_path):
+    # the later line used to win without a word; both spellings of a key
+    # are the same key
+    path = tmp_path / "run.cfg"
+    keys = ("m", "save_replicates")
+    for text, line in (("m=8\n# again\nm=20\n", 3),
+                       ("save-replicates=true\nsave_replicates=false\n", 2)):
+        path.write_text(text)
+        key = text.split("=", 1)[0].replace("-", "_")
+        with pytest.raises(cb.DataError,
+                           match=rf"run.cfg:{line}: config key {key} "
+                                 rf"already set on line 1"):
+            load_config(str(path), keys)
+
+
 def test_cli_config_rejects_keys_of_other_commands(tmp_path, capsys):
     # a key another command owns would be read by nobody and leave no
     # trace in the manifest, so it fails like an unknown key
@@ -488,7 +503,10 @@ def test_cli_validate_weights(tmp_path):
 def test_cli_validate_weights_rejects_parametrized_scheme(tmp_path, capsys):
     assert main(["validate-weights", "--scheme", "iid-weighted", "--m", "8",
                  "--seed", "1", "--out", str(tmp_path / "o")]) == 2
-    assert "no CLI shorthand" in capsys.readouterr().err
+    # the bare name builds no scheme: iid-weighted needs an eta block
+    # sampler and C_eta, which only the Python API can pass
+    assert "iid-weighted scheme needs eta_sampler and c_eta" \
+        in capsys.readouterr().err
 
 
 def test_cli_validate_weights_rejects_wild_custom(tmp_path, capsys):

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 import cifboot as cb
 from cifboot.resampling import (BAYESIAN, EFRON, IID_WEIGHTED, WILD_NORMAL,
                                 WILD_POISSON, build_z, draw_weights,
-                                scheme_from_name, weighted_process,
-                                wild_process)
+                                weighted_process, wild_process)
 from cifboot.simulation import Group1Exp, draw_panel
 
 from conftest import build_panel, brute_from_panel, event_subjects, jumps_from_subs
@@ -20,8 +19,8 @@ ALL_SCHEMES = (
     cb.WeightScheme(WILD_NORMAL),
     cb.WeightScheme(WILD_POISSON),
     cb.WeightScheme(BAYESIAN),
-    cb.WeightScheme(IID_WEIGHTED, eta_sampler=lambda rng, m: rng.gamma(2.0, size=m),
-                    mu_eta=2.0, sigma_eta=np.sqrt(2.0)),
+    cb.WeightScheme(IID_WEIGHTED, eta_sampler=lambda rng, shape: rng.gamma(2.0, size=shape),
+                    c_eta=1 / np.sqrt(2.0)),
 )
 
 
@@ -56,46 +55,47 @@ def brute_z_values(bt, jumps, s):
 def test_scheme_validation():
     with pytest.raises(cb.DataError, match="unknown weight scheme"):
         cb.WeightScheme("jackknife")
-    with pytest.raises(cb.DataError, match="eta_sampler"):
+    with pytest.raises(cb.DataError, match="eta_sampler and c_eta"):
         cb.WeightScheme(IID_WEIGHTED)
-    with pytest.raises(cb.DataError, match="sigma_eta > 0"):
-        cb.WeightScheme(IID_WEIGHTED, eta_sampler=lambda r, m: r.random(m),
-                        mu_eta=1.0, sigma_eta=0.0)
-    with pytest.raises(cb.DataError, match="mu_eta > 0"):
-        cb.WeightScheme(IID_WEIGHTED, eta_sampler=lambda r, m: r.random(m),
-                        mu_eta=0.0, sigma_eta=1.0)
+    with pytest.raises(cb.DataError, match="eta_sampler and c_eta"):
+        cb.WeightScheme(IID_WEIGHTED, c_eta=1.0)
+    for c_eta in (0.0, -1.0, np.nan):
+        with pytest.raises(cb.DataError, match="finite c_eta > 0"):
+            cb.WeightScheme(IID_WEIGHTED, eta_sampler=lambda r, s: r.random(s),
+                            c_eta=c_eta)
     # a parameter the kind does not use is refused, not silently ignored
-    def f(rng, m):
-        return rng.standard_normal(m)
+    def f(rng, shape):
+        return rng.standard_normal(shape)
 
     with pytest.raises(cb.DataError, match="eta_sampler .*wild-normal scheme"):
         cb.WeightScheme(WILD_NORMAL, eta_sampler=f)
-    with pytest.raises(cb.DataError, match="mu_eta .*efron scheme"):
-        cb.WeightScheme(EFRON, mu_eta=1.0, sigma_eta=-5.0)
-    for name in ("eta_sampler", "mu_eta", "sigma_eta"):
+    with pytest.raises(cb.DataError, match="c_eta .*efron scheme"):
+        cb.WeightScheme(EFRON, c_eta=-5.0)
+    for name in ("eta_sampler", "c_eta"):
         for kind in (EFRON, WILD_NORMAL, WILD_POISSON, BAYESIAN):
             with pytest.raises(cb.DataError, match=f"{name} .*{kind} scheme"):
                 cb.WeightScheme(kind, **{name: 1.0})
 
 
-@pytest.mark.parametrize("field, value", [("mu_eta", np.inf),
-                                          ("sigma_eta", np.inf)])
-def test_scheme_refuses_infinite_eta_moments(field, value):
-    # an infinite mu_eta divided by zero in draw_weights and an infinite
-    # sigma_eta made every weight 0
-    params = {"mu_eta": 1.0, "sigma_eta": 1.0, field: value}
-    with pytest.raises(cb.DataError, match=f"finite {field} > 0"):
-        cb.WeightScheme(IID_WEIGHTED, eta_sampler=lambda r, m: r.random(m),
-                        **params)
+# C_eta = sigma_eta / mu_eta: an infinite mu_eta gives C_eta = 0, which would
+# divide by zero in draw_weights, and an infinite sigma_eta gives C_eta = inf,
+# which would make every weight 0
+@pytest.mark.parametrize("c_eta", [0.0, np.inf],
+                         ids=["mu_eta-inf", "sigma_eta-inf"])
+def test_scheme_refuses_infinite_eta_moments(c_eta):
+    with pytest.raises(cb.DataError, match="finite c_eta > 0"):
+        cb.WeightScheme(IID_WEIGHTED, eta_sampler=lambda r, s: r.random(s),
+                        c_eta=c_eta)
 
 
-def test_scheme_from_name():
+def test_scheme_by_name():
+    # the CLI builds its scheme from the bare name
     for name in (EFRON, WILD_NORMAL, WILD_POISSON, BAYESIAN):
-        assert scheme_from_name(name).kind == name
-    with pytest.raises(cb.DataError, match="no CLI shorthand"):
-        scheme_from_name(IID_WEIGHTED)
+        assert cb.WeightScheme(name).kind == name
+    with pytest.raises(cb.DataError, match="needs eta_sampler and c_eta"):
+        cb.WeightScheme(IID_WEIGHTED)
     with pytest.raises(cb.DataError, match="unknown weight scheme"):
-        scheme_from_name("wild-custom")
+        cb.WeightScheme("wild-custom")
 
 
 def test_multinomial_counts_single():
@@ -111,23 +111,24 @@ def test_draw_weights_block_matches_row_by_row():
     # a block is the stack of one-row draws, bit for bit, and leaves the
     # generator where the one-row draws leave it, so chunking is invisible;
     # it is a fresh writable array (the moment pass centres it in place),
-    # also when an eta_sampler refills one shared buffer
+    # also when an eta_sampler refills one shared buffer per shape
     m, rows = 7, 40
-    buffer = np.empty(m)
+    buffers = {}
 
-    def refill(rng, m):
-        buffer[:] = rng.gamma(2.0, size=m)
+    def refill(rng, shape):
+        buffer = buffers.setdefault(shape, np.empty(shape))
+        buffer[:] = rng.gamma(2.0, size=shape)
         return buffer
 
-    shared = cb.WeightScheme(IID_WEIGHTED, eta_sampler=refill, mu_eta=2.0,
-                             sigma_eta=np.sqrt(2.0))
+    shared = cb.WeightScheme(IID_WEIGHTED, eta_sampler=refill,
+                             c_eta=1 / np.sqrt(2.0))
     for scheme in ALL_SCHEMES + (shared,):
         rng_block, rng_rows = np.random.default_rng(11), np.random.default_rng(11)
         block = draw_weights(scheme, rows, m, rng_block)
         stacked = np.stack([one_row(scheme, m, rng_rows) for _ in range(rows)])
         assert block.shape == (rows, m), scheme.kind
         assert block.flags.owndata and block.flags.writeable, scheme.kind
-        assert not np.shares_memory(block, buffer)
+        assert not any(np.shares_memory(block, b) for b in buffers.values())
         np.testing.assert_array_equal(block, stacked, err_msg=scheme.kind)
         assert rng_block.bit_generator.state == rng_rows.bit_generator.state
 
@@ -167,19 +168,26 @@ def test_wild_weights_basic():
 
 
 def test_custom_sampler_used_and_checked():
-    # iid-weighted draws through its eta_sampler, one vector per row: equal
-    # etas give eta/etabar - 1 = 0 exactly, and a wrong shape is refused
+    # iid-weighted draws through its eta_sampler, one (rows, m) block per
+    # call: equal etas give eta/etabar - 1 = 0 exactly, and a wrong shape
+    # is refused, also a lone row for a one-row block
+    shapes = []
+
     def iid(eta_sampler):
-        return cb.WeightScheme(IID_WEIGHTED, eta_sampler=eta_sampler,
-                               mu_eta=1.0, sigma_eta=1.0)
+        return cb.WeightScheme(IID_WEIGHTED, eta_sampler=eta_sampler, c_eta=1.0)
 
-    w = one_row(iid(lambda rng, m: np.full(m, 2.0)), 4,
-                np.random.default_rng(0))
+    def constant(rng, shape):
+        shapes.append(shape)
+        return np.full(shape, 2.0)
+
+    w = draw_weights(iid(constant), 3, 4, np.random.default_rng(0))
     np.testing.assert_array_equal(w, 0.0)
+    assert shapes == [(3, 4)]
 
-    bad = iid(lambda rng, m: np.ones(m + 1))
-    with pytest.raises(cb.DataError, match="shape"):
-        one_row(bad, 4, np.random.default_rng(0))
+    for bad in (lambda rng, shape: np.ones((shape[0], shape[1] + 1)),
+                lambda rng, shape: np.ones(shape[1])):
+        with pytest.raises(cb.DataError, match="shape"):
+            one_row(iid(bad), 4, np.random.default_rng(0))
 
 
 def test_bayesian_weights_centered():
@@ -189,17 +197,46 @@ def test_bayesian_weights_centered():
 
 
 def test_iid_weighted_scaling_and_positivity():
-    scheme = cb.WeightScheme(IID_WEIGHTED,
-                             eta_sampler=lambda rng, m: rng.standard_exponential(m),
-                             mu_eta=1.0, sigma_eta=1.0)
+    scheme = cb.WeightScheme(IID_WEIGHTED, c_eta=1.0,
+                             eta_sampler=lambda rng, shape: rng.standard_exponential(shape))
     w = one_row(scheme, 2000, np.random.default_rng(7))
     assert abs(w.mean()) < 1e-9
     assert 0.8 < w.var() < 1.25
 
-    neg = cb.WeightScheme(IID_WEIGHTED, eta_sampler=lambda rng, m: np.full(m, -1.0),
-                          mu_eta=1.0, sigma_eta=1.0)
-    with pytest.raises(cb.DataError, match="positive"):
-        one_row(neg, 8, np.random.default_rng(0))
+    for value in (-1.0, 0.0, np.nan):
+        bad = cb.WeightScheme(IID_WEIGHTED, c_eta=1.0,
+                              eta_sampler=lambda rng, shape: np.full(shape, value))
+        with pytest.raises(cb.DataError, match="positive"):
+            one_row(bad, 8, np.random.default_rng(0))
+
+
+def test_iid_weighted_divides_by_the_coefficient_of_variation():
+    # Gamma(2) eta has mu = 2 and sigma = sqrt(2), so C_eta = 1/sqrt(2) and
+    # (eta/etabar - 1) has variance 1/2; dividing by C_eta gives variance 1,
+    # where dividing by mu/sigma would give 1/4
+    scheme = cb.WeightScheme(IID_WEIGHTED, c_eta=1 / np.sqrt(2.0),
+                             eta_sampler=lambda rng, shape: rng.gamma(2.0, size=shape))
+    report = cb.validate_weight_conditions(scheme, 200, 10_000,
+                                           np.random.default_rng(8))
+    var = report["centered_variance"]
+    assert abs(var["estimate"] - 1.0) < 0.02
+
+
+def test_bayesian_is_iid_weighted_with_exponential_eta():
+    # the Bayesian bootstrap is the iid-weighted scheme at eta ~ Exp(1),
+    # C_eta = 1: the same blocks and moment reports, bit for bit
+    bayes = cb.WeightScheme(BAYESIAN)
+    iid = cb.WeightScheme(IID_WEIGHTED, c_eta=1.0,
+                          eta_sampler=lambda rng, shape: rng.standard_exponential(shape))
+    for rows, m in ((1, 1), (1, 9), (40, 7), (3, 500)):
+        np.testing.assert_array_equal(
+            draw_weights(bayes, rows, m, np.random.default_rng(rows * m)),
+            draw_weights(iid, rows, m, np.random.default_rng(rows * m)))
+    reports = [cb.validate_weight_conditions(s, 12, 10_000,
+                                             np.random.default_rng(6))
+               for s in (bayes, iid)]
+    assert [r.pop("scheme") for r in reports] == [BAYESIAN, IID_WEIGHTED]
+    assert reports[0] == reports[1]
 
 
 def test_gen_weights_rejects_empty():

@@ -342,8 +342,8 @@ def test_identical_samples_give_zero_statistic():
 def test_replicate_block_rejects_non_bootstrap_schemes():
     p1, p2 = hand_pair()
     pooled = twosample.prepare_test(p1, p2, cb.TestConfig(t2=3.0))
-    iid = cb.WeightScheme("iid-weighted", mu_eta=1.0, sigma_eta=1.0,
-                          eta_sampler=lambda rng, m: rng.standard_exponential(m))
+    iid = cb.WeightScheme("iid-weighted", c_eta=1.0,
+                          eta_sampler=lambda rng, shape: rng.standard_exponential(shape))
     for scheme in (cb.WeightScheme("bayesian"), iid):
         with pytest.raises(cb.DataError, match="efron and wild"):
             twosample.replicate_block(pooled, scheme, 10,
@@ -651,6 +651,25 @@ def test_bootstrap_critical_value_is_the_rank_order_statistic():
     res = cb.test_phi_star(p1, p2, cb.TestConfig(t2=4.0, B=99),
                            rng=np.random.default_rng(3))
     assert res.critical_value == np.sort(res.replicates)[94]
+
+
+def test_bootstrap_critical_rank_is_exact_for_decimal_alpha():
+    # 1.0 - alpha rounds up past the integer at these levels: the rank is
+    # ceil(0.82 * 1000) = 820 and ceil(0.59 * 100) = 59, not 821 and 60;
+    # a numpy scalar alpha reads as the same decimal
+    for alpha, B, rank in ((0.18, 999, 820), (0.41, 99, 59),
+                           (np.float64(0.18), 999, 820),
+                           (0.05, 999, 950), (0.1, 19, 18)):
+        crit = cb.bootstrap_critical_value(np.arange(float(B)), alpha)
+        assert crit == rank - 1, (alpha, B)
+    # with the rank one too high, a replicate at p_value == alpha retained
+    rng = np.random.default_rng(0)
+    p1 = draw_panel(Group1Exp(), 40, 0.0, rng)
+    p2 = draw_panel(ConstantPair(1.0), 40, 0.0, rng)
+    res = cb.test_phi_star(p1, p2, cb.TestConfig(alpha=0.41, B=99),
+                           rng=np.random.default_rng(9))
+    assert res.p_value == 0.41
+    assert res.reject == (res.p_value <= res.alpha)
 
 
 def test_phi_star_is_deterministic_given_seed():
