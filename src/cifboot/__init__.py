@@ -25,6 +25,6 @@ from .stepfun import CONSTANT_ONE, StepFunction
 from .twosample import (NumericalError, PreparedTest, ReplicateBlock,
                         TestConfig, TestResult, bootstrap_critical_value,
                         effective_window, prepare_test, replicate_block,
-                        test_phi_n, test_phi_star)
+                        test_phi_n, test_phi_star, verdict)
 
 __version__ = "0.1.0"

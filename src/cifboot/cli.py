@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import math
 import os
@@ -23,7 +24,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .data import DataError, check_positive_risk, compile_panel, ingest_csv
+from .data import (DataError, check_positive_risk, compile_panel, ingest_csv,
+                   read_utf8)
 from .estimators import aalen_johansen, kaplan_meier
 from .resampling import (EFRON, WILD_NORMAL, WeightScheme,
                          validate_weight_conditions)
@@ -84,6 +86,8 @@ def _render(obj, level: int) -> str:
 
 
 def _write(path: str, text: str) -> str:
+    # the output directory is made here, so a refused run leaves none behind
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text)
     print(f"wrote {path}")
@@ -145,29 +149,30 @@ _OPTIONS = {
 
 
 def load_config(path: str, keys) -> dict[str, str]:
-    """Read a flat key=value config file ('#' comments, blank lines ok).
+    """Read a flat key=value config file ('#' comments, blank lines ok),
+    decoded as :func:`~cifboot.data.ingest_csv` decodes a CSV.
 
     Only ``keys`` are accepted, each at most once; any other key, or a key
     given twice (also as its dashed and underscored spellings), is an error.
     """
-    out, seen = {}, {}
     try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, sep, val = line.partition("=")
-                if not sep:
-                    raise DataError(
-                        f"{path}:{lineno}: expected key=value, got {line!r}")
-                key = key.strip().replace("-", "_")
-                if key in seen:
-                    raise DataError(f"{path}:{lineno}: config key {key} "
-                                    f"already set on line {seen[key]}")
-                out[key], seen[key] = val.strip(), lineno
+        text = read_utf8(path)
     except OSError as exc:
         raise DataError(f"cannot read config file: {exc}") from None
+    out, seen = {}, {}
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise DataError(
+                f"{path}:{lineno}: expected key=value, got {line!r}")
+        key = key.strip().replace("-", "_")
+        if key in seen:
+            raise DataError(f"{path}:{lineno}: config key {key} "
+                            f"already set on line {seen[key]}")
+        out[key], seen[key] = val.strip(), lineno
     unknown = set(out) - set(keys)
     if unknown:
         raise DataError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -178,7 +183,7 @@ def resolve_options(args: argparse.Namespace, keys,
                     cfg: dict[str, str]) -> dict[str, object]:
     """Resolve ``keys`` in the order flag > config file > default.
 
-    Also checks the seed and creates the output directory.
+    Also checks the seed and that ``out`` is not a file, before any work.
     """
     opts = {}
     for key in keys:
@@ -197,7 +202,8 @@ def resolve_options(args: argparse.Namespace, keys,
         opts[key] = val
     if opts["seed"] < 0:
         raise DataError(f"seed must be >= 0, got {opts['seed']}")
-    os.makedirs(opts["out"], exist_ok=True)
+    if os.path.isfile(opts["out"]):
+        raise DataError(f"output directory {opts['out']} is a file")
     return opts
 
 
@@ -259,12 +265,7 @@ def _load_sample(path: str, opts: dict):
 def cmd_estimate(opts: dict):
     out = opts["out"]
     panel = compile_panel(_load_sample(opts["input"], opts))
-    outputs = [
-        _write(os.path.join(out, "cif1.csv"), _step_csv(aalen_johansen(panel, 1))),
-        _write(os.path.join(out, "cif2.csv"), _step_csv(aalen_johansen(panel, 2))),
-        _write(os.path.join(out, "km.csv"), _step_csv(kaplan_meier(panel))),
-    ]
-
+    # the horizon check can refuse the run, so it comes before any output
     extra = {}
     if opts["horizon"] is not None:
         report = check_positive_risk(panel, opts["horizon"])
@@ -272,6 +273,12 @@ def cmd_estimate(opts: dict):
         if not report.ok:
             print(f"warning: at-risk set empty after t={report.zero_after} "
                   f"(horizon {report.horizon})", file=sys.stderr)
+
+    outputs = [
+        _write(os.path.join(out, "cif1.csv"), _step_csv(aalen_johansen(panel, 1))),
+        _write(os.path.join(out, "cif2.csv"), _step_csv(aalen_johansen(panel, 2))),
+        _write(os.path.join(out, "km.csv"), _step_csv(kaplan_meier(panel))),
+    ]
     return outputs, extra
 
 
@@ -285,9 +292,7 @@ _BOOTSTRAP_KEYS = ("B", "scheme", "degenerate_replicates",
 
 def result_dict(result: TestResult) -> dict:
     keys = _RESULT_KEYS + (_BOOTSTRAP_KEYS if result.B is not None else ())
-    d = {key: getattr(result, key) for key in keys}
-    d["interval"] = list(result.interval)
-    return d
+    return {key: getattr(result, key) for key in keys}
 
 
 def cmd_test(opts: dict):

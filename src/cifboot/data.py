@@ -226,6 +226,20 @@ def _at_risk_between(panel: CountingProcessPanel, t: np.ndarray) -> np.ndarray:
             - np.searchsorted(exits, t, side="left"))
 
 
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file, a leading byte-order mark dropped; a byte
+    that is no UTF-8 is a :class:`DataError` naming its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start].decode("utf-8")
+        line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+        raise DataError(f"line {line}: invalid UTF-8 byte "
+                        f"0x{raw[exc.start]:02x} in {path}") from None
+
+
 def ingest_csv(path, *, entry_col: str = "entry", exit_col: str = "exit",
                status_col: str = "status", censored_code: str = "0",
                cause1_code: str = "1", cause2_code: str = "2") -> Sample:
@@ -254,16 +268,7 @@ def ingest_csv(path, *, entry_col: str = "entry", exit_col: str = "exit",
     if len(code_map) != 3:
         raise DataError("status codes must be three distinct values")
 
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        head = raw[:exc.start].decode("utf-8")
-        line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
-        raise DataError(f"line {line}: invalid UTF-8 byte "
-                        f"0x{raw[exc.start]:02x} in {path}") from None
-
+    text = read_utf8(path)
     stream = io.StringIO(text, newline="")
     reader = csv.reader(stream)
     header = next(reader, [])

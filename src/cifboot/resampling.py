@@ -262,7 +262,7 @@ def validate_weight_conditions(scheme: WeightScheme, m: int, draws: int,
             out["note"] = note
         return out
 
-    report = {
+    return {
         "scheme": scheme.kind,
         "m": m,
         "draws": draws,
@@ -281,4 +281,3 @@ def validate_weight_conditions(scheme: WeightScheme, m: int, draws: int,
                     "reported informationally only",
         },
     }
-    return report

@@ -20,15 +20,14 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import repeat
-from statistics import NormalDist
 
 import numpy as np
 
 from .data import CountingProcessPanel, DataError, compile_panel_arrays
 from .resampling import EFRON, WILD_NORMAL, WeightScheme
 from .rng import substream
-from .twosample import TestConfig, bootstrap_critical_value, prepare_test, \
-    replicate_block
+from .twosample import NumericalError, TestConfig, prepare_test, \
+    replicate_block, verdict
 
 PHI_N = "phi_n"
 PHI_W = "phi_W"
@@ -216,15 +215,17 @@ class ScenarioConfig:
 class MonteCarloReport:
     """Aggregated rejection counts of one scenario.
 
-    ``error_count`` tallies datasets where a test was undefined (degenerate
-    window or an all-degenerate bootstrap); those datasets count as
-    non-rejections.  By cause, ``degenerate_windows`` counts the first kind
-    and ``all_degenerate_phi_e``/``_phi_w`` the datasets whose Efron or
-    wild replicates were all degenerate (a dataset can have both).
-    ``degenerate_*`` and ``truncated_phi_e`` sum the replicate diagnostics
-    (:class:`ReplicateBlock`) over all datasets.  Every field between
-    ``config`` and ``runtime`` is a tally.  ``runtime`` is wall-clock
-    seconds and is the one field excluded from reproducibility comparisons.
+    ``error_count`` tallies datasets where a test was undefined, those on
+    which ``cifboot test`` exits 2 or 3: a degenerate window (``DataError``)
+    or an all-degenerate bootstrap (``NumericalError`` from ``verdict``).
+    They count as non-rejections.  By cause, ``degenerate_windows`` counts
+    the first kind and ``all_degenerate_phi_e``/``_phi_w`` the datasets
+    whose Efron or wild replicates were all degenerate (a dataset can have
+    both).  ``degenerate_*`` and ``truncated_phi_e`` sum the replicate
+    diagnostics (:class:`ReplicateBlock`) over all datasets.  Every field
+    between ``config`` and ``runtime`` is a tally.  ``runtime`` is
+    wall-clock seconds and is the one field excluded from reproducibility
+    comparisons.
     """
 
     config: ScenarioConfig
@@ -258,11 +259,11 @@ class MonteCarloReport:
 
 def _run_range(config: ScenarioConfig, lo: int, hi: int) -> Counter:
     """Run datasets lo..hi-1; return their tallies, each under the name of
-    the :class:`MonteCarloReport` field it adds to."""
+    the :class:`MonteCarloReport` field it adds to.  Every decision is the
+    ``verdict`` that ``cifboot test`` gives the same panels and weights."""
     tconf = config.test_config
     efron = WeightScheme(EFRON)
     wild = WeightScheme(WILD_NORMAL)
-    normal_crit = NormalDist().inv_cdf(1.0 - config.alpha)
     l1, l2 = config.censor_rates
     sid = config.scenario_id
     tally = Counter()
@@ -277,8 +278,7 @@ def _run_range(config: ScenarioConfig, lo: int, hi: int) -> Counter:
         except DataError:
             tally.update(error_count=1, degenerate_windows=1)
             continue
-        stud = prep.studentized
-        tally["reject_phi_n"] += stud > normal_crit
+        tally["reject_phi_n"] += verdict(prep, config.alpha).reject
 
         # Efron first, then wild, off the shared per-dataset weight stream
         eblock = replicate_block(prep, efron, config.B, rng_weights)
@@ -286,14 +286,15 @@ def _run_range(config: ScenarioConfig, lo: int, hi: int) -> Counter:
         tally.update(degenerate_phi_e=eblock.degenerate,
                      degenerate_phi_w=wblock.degenerate,
                      truncated_phi_e=eblock.truncated)
+        failed = False
         for method, block in (("phi_e", eblock), ("phi_w", wblock)):
-            if block.degenerate < config.B:
-                tally["reject_" + method] += stud > bootstrap_critical_value(
-                    block.studentized, config.alpha)
-            else:
+            try:
+                tally["reject_" + method] += verdict(prep, config.alpha,
+                                                     block).reject
+            except NumericalError:
                 tally["all_degenerate_" + method] += 1
-        tally["error_count"] += config.B in (eblock.degenerate,
-                                             wblock.degenerate)
+                failed = True
+        tally["error_count"] += failed
 
     return tally
 
@@ -340,22 +341,17 @@ def suite_configs(which: str, *, n_sim: int = 1000, B: int = 999,
     table1: sizes x censoring at c = 1 (15 cells, null).  table2: c from
     0.9 down to 0.1 x four design columns (36 cells, alternatives).
     """
-    common = dict(n_sim=n_sim, B=B, seed=seed, alpha=alpha, interval=interval)
-    configs = []
     if which == "table1":
-        for n1, n2 in TABLE1_SIZES:
-            for rates in TABLE1_CENSORING:
-                configs.append(ScenarioConfig(
-                    model1=Group1Exp(), model2=ConstantPair(1.0),
-                    n1=n1, n2=n2, censor_rates=rates, **common))
+        grid = [(1.0, n, rates) for n in TABLE1_SIZES
+                for rates in TABLE1_CENSORING]
     elif which == "table2":
-        for c in TABLE2_C:
-            for (n1, n2), rates in TABLE2_COLUMNS:
-                configs.append(ScenarioConfig(
-                    model1=Group1Exp(), model2=ConstantPair(c),
-                    n1=n1, n2=n2, censor_rates=rates, **common))
+        grid = [(c, n, rates) for c in TABLE2_C for n, rates in TABLE2_COLUMNS]
     else:
         raise DataError(f"unknown suite {which!r} (expected table1 or table2)")
+    configs = [ScenarioConfig(model1=Group1Exp(), model2=ConstantPair(c),
+                              n1=n1, n2=n2, censor_rates=rates, n_sim=n_sim,
+                              B=B, seed=seed, alpha=alpha, interval=interval)
+               for c, (n1, n2), rates in grid]
     if cells:
         wanted = parse_cells(cells)
         configs = [cf for cf in configs if scenario_matches(cf, wanted)]

@@ -60,8 +60,10 @@ class TestConfig:
     def __post_init__(self):
         if not (0.0 <= self.t1 < self.t2):
             raise DataError(f"need 0 <= t1 < t2, got [{self.t1}, {self.t2}]")
-        if not (0.0 < self.alpha < 1.0):
-            raise DataError(f"alpha must be in (0, 1), got {self.alpha}")
+        # the normal quantile needs 1 - alpha < 1, false for alpha <= 2**-54
+        if not 0.0 < 1.0 - self.alpha < 1.0:
+            raise DataError(f"alpha must be in (0, 1) and above 2**-54, got "
+                            f"{self.alpha}")
         if self.B < 1:
             raise DataError(f"B must be >= 1, got {self.B}")
         if self.rho is not None:
@@ -228,8 +230,8 @@ def prepare_test(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
     kappa^2 = n1 n2 / n, so it collapses to the sum of squared per-entry
     integrals.  The two group partial sums are kept separate so a group
     swap reproduces the value bit for bit.  Simulation loops use this with
-    :func:`replicate_block` to run the asymptotic and bootstrap tests off a
-    single precomputation.
+    :func:`replicate_block` and :func:`verdict` to run the asymptotic and
+    bootstrap tests off a single precomputation.
     """
     for panel in (panel1, panel2):
         if panel.n < 2:
@@ -244,40 +246,6 @@ def prepare_test(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
         integrals=np.concatenate((i1, i2)),
         statistic=kappa * (s1 - s2),
         variance=float(kappa**2 * (np.sum(i1 * i1) + np.sum(i2 * i2))))
-
-
-def test_phi_n(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
-               config: TestConfig) -> TestResult:
-    """Asymptotic one-sided test: reject when T_n/V_n exceeds the normal
-    (1 - alpha)-quantile.
-
-    A zero plug-in variance sets the studentized statistic to 0 (retain) and
-    flags the result.
-    """
-    prep = prepare_test(panel1, panel2, config)
-    crit = _NORMAL.inv_cdf(1.0 - config.alpha)
-    return _result(prep, config, "asymptotic", crit,
-                   1.0 - _NORMAL.cdf(prep.studentized))
-
-
-def _result(prep: PreparedTest, config: TestConfig, method: str,
-            crit: float, p_value: float, **bootstrap) -> TestResult:
-    # the fields both tests share; ``bootstrap`` carries the rest
-    return TestResult(
-        method=method,
-        statistic=prep.statistic,
-        variance=prep.variance,
-        studentized=prep.studentized,
-        critical_value=crit,
-        p_value=p_value,
-        reject=prep.studentized > crit,
-        alpha=config.alpha,
-        interval=(prep.t1, prep.t2),
-        truncated=prep.truncated,
-        warning=prep.warning,
-        vn_zero=prep.vn_zero,
-        **bootstrap,
-    )
 
 
 def _replicate_kernel(pooled: PreparedTest, wi, vi2, vi=None):
@@ -300,9 +268,11 @@ def _replicate_kernel(pooled: PreparedTest, wi, vi2, vi=None):
 
 @dataclass(frozen=True, eq=False)
 class ReplicateBlock:
-    """Studentized bootstrap replicates plus degeneracy diagnostics."""
+    """Studentized bootstrap replicates of one scheme kind plus degeneracy
+    diagnostics."""
 
     studentized: np.ndarray = field(repr=False)
+    scheme: str
     degenerate: int = 0
     truncated: int = 0
 
@@ -364,8 +334,8 @@ def replicate_block(pooled: PreparedTest, scheme: WeightScheme, B: int,
     stud = np.zeros(B)
     np.divide(tstar, np.sqrt(vstar, where=positive, out=np.ones(B)),
               where=positive, out=stud)
-    return ReplicateBlock(studentized=stud, degenerate=degenerate,
-                          truncated=truncated)
+    return ReplicateBlock(studentized=stud, scheme=scheme.kind,
+                          degenerate=degenerate, truncated=truncated)
 
 
 def bootstrap_critical_value(replicates: np.ndarray, alpha: float) -> float:
@@ -382,37 +352,61 @@ def bootstrap_critical_value(replicates: np.ndarray, alpha: float) -> float:
     return float(np.partition(replicates, rank - 1)[rank - 1])
 
 
+def verdict(prep: PreparedTest, alpha: float,
+            block: ReplicateBlock | None = None) -> TestResult:
+    """Decide the one-sided test of a prepared dataset at level ``alpha``
+    (as :class:`TestConfig` checks it): the one decision rule of every test.
+
+    Without ``block``, T_n/V_n is compared with the normal (1 - alpha)-quantile
+    and the p-value is 1 - Phi(T_n/V_n); a zero plug-in variance sets T_n/V_n
+    to 0 (retain) and flags the result.  With ``block``, it is compared with
+    the replicate order statistic of rank ceil((1 - alpha)(B + 1)) and the
+    p-value is (1 + #{replicates >= T_n/V_n}) / (B + 1).  With every
+    replicate degenerate there is no resampling distribution to compare
+    against, which raises :class:`NumericalError`; its message names the
+    cause, an eventless window or bad luck in a small B.
+    """
+    stud = prep.studentized
+    bootstrap = {}
+    if block is None:
+        method = "asymptotic"
+        crit = _NORMAL.inv_cdf(1.0 - alpha)
+        p_value = 1.0 - _NORMAL.cdf(stud)
+    else:
+        B = block.studentized.size
+        if block.degenerate == B:
+            k = int(np.count_nonzero(prep.integrals))
+            cause = ("the data carry no events inside the window" if k == 0 else
+                     f"{k} of the {prep.size} window integrals are nonzero, "
+                     f"but no replicate drew a positive variance from them; a "
+                     f"larger B makes this unlikely")
+            raise NumericalError(
+                f"all {B} bootstrap replicates have zero variance; {cause}")
+        method = "efron" if block.scheme == EFRON else "wild"
+        crit = bootstrap_critical_value(block.studentized, alpha)
+        p_value = (1 + int(np.count_nonzero(block.studentized >= stud))) / (B + 1)
+        bootstrap = dict(B=B, scheme=block.scheme, replicates=block.studentized,
+                         degenerate_replicates=block.degenerate,
+                         truncated_variances=block.truncated)
+    return TestResult(
+        method=method, statistic=prep.statistic, variance=prep.variance,
+        studentized=stud, critical_value=crit, p_value=p_value,
+        reject=stud > crit, alpha=alpha, interval=(prep.t1, prep.t2),
+        truncated=prep.truncated, warning=prep.warning, vn_zero=prep.vn_zero,
+        **bootstrap)
+
+
+def test_phi_n(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
+               config: TestConfig) -> TestResult:
+    """Asymptotic one-sided test: :func:`prepare_test`, then :func:`verdict`."""
+    return verdict(prepare_test(panel1, panel2, config), config.alpha)
+
+
 def test_phi_star(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
                   config: TestConfig, *,
                   rng: np.random.Generator) -> TestResult:
-    """Bootstrap one-sided test: compare T_n/V_n against the replicate
-    order statistic of rank ceil((1 - alpha)(B + 1)).
-
-    The p-value is (1 + #{replicates >= studentized}) / (B + 1).  With every
-    replicate degenerate there is no resampling distribution to compare
-    against, which raises :class:`NumericalError`; its message names the
-    cause, an eventless window or bad luck in a small B.  ``rng`` draws the
-    bootstrap weights.
-    """
+    """Bootstrap one-sided test: :func:`prepare_test`, B replicates drawn
+    from ``rng`` by :func:`replicate_block`, then :func:`verdict`."""
     prep = prepare_test(panel1, panel2, config)
-    block = replicate_block(prep, config.scheme, config.B, rng)
-    if block.degenerate == config.B:
-        k = int(np.count_nonzero(prep.integrals))
-        cause = ("the data carry no events inside the window" if k == 0 else
-                 f"{k} of the {prep.size} window integrals are nonzero, but "
-                 f"no replicate drew a positive variance from them; a larger "
-                 f"B makes this unlikely")
-        raise NumericalError(
-            f"all {config.B} bootstrap replicates have zero variance; {cause}")
-
-    stud = prep.studentized
-    p = (1 + int(np.count_nonzero(block.studentized >= stud))) / (config.B + 1)
-    return _result(
-        prep, config, "efron" if config.scheme.kind == EFRON else "wild",
-        bootstrap_critical_value(block.studentized, config.alpha), p,
-        B=config.B,
-        scheme=config.scheme.kind,
-        degenerate_replicates=block.degenerate,
-        truncated_variances=block.truncated,
-        replicates=block.studentized,
-    )
+    return verdict(prep, config.alpha,
+                   replicate_block(prep, config.scheme, config.B, rng))

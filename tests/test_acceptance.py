@@ -388,11 +388,11 @@ def test_criterion_6_weight_moment_identities():
 
 def test_criterion_7_null_pivotality():
     """Studentized null statistic is close to N(0,1); the asymptotic and
-    wild-bootstrap decisions almost always agree."""
+    wild-bootstrap decisions, both the package's ``verdict``, almost always
+    agree."""
     seed = CRITERION_SEEDS["pivotal"]
     config = cb.TestConfig(t1=0.0, t2=1.5, alpha=0.05, B=999)
     scheme = cb.WeightScheme(WILD_NORMAL)
-    normal_crit = scipy.stats.norm.ppf(0.95)
 
     studs = np.empty(2000)
     disagreements = 0
@@ -405,8 +405,8 @@ def test_criterion_7_null_pivotality():
         if r < 1000:
             rng_w = substream(seed, "acceptance;pivotal", r, "weights")
             block = twosample.replicate_block(prep, scheme, 999, rng_w)
-            crit = twosample.bootstrap_critical_value(block.studentized, 0.05)
-            if (prep.studentized > normal_crit) != (prep.studentized > crit):
+            if (twosample.verdict(prep, 0.05).reject
+                    != twosample.verdict(prep, 0.05, block).reject):
                 disagreements += 1
 
     ks = scipy.stats.kstest(studs, "norm").statistic

@@ -95,6 +95,25 @@ def test_load_config_refuses_a_key_given_twice(tmp_path):
             load_config(str(path), keys)
 
 
+def test_load_config_skips_a_byte_order_mark(tmp_path):
+    # Notepad writes one; it used to glue itself to the first key
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xef\xbb\xbfseed=3\nB=19\n")
+    assert load_config(str(path), ("seed", "B")) == {"seed": "3", "B": "19"}
+
+
+def test_load_config_names_an_undecodable_line(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"seed=3\n# caf\xe9\n")
+    with pytest.raises(cb.DataError,
+                       match=r"line 2: invalid UTF-8 byte 0xe9 in .*latin1"):
+        load_config(str(path), ("seed",))
+    g1, g2 = write_samples(tmp_path)
+    assert main(["test", "--group1", g1, "--group2", g2, "--config",
+                 str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "line 2: invalid UTF-8 byte 0xe9" in capsys.readouterr().err
+
+
 def test_cli_config_rejects_keys_of_other_commands(tmp_path, capsys):
     # a key another command owns would be read by nobody and leave no
     # trace in the manifest, so it fails like an unknown key
@@ -516,6 +535,55 @@ def test_cli_validate_weights_rejects_wild_custom(tmp_path, capsys):
 
 
 # ------------------------------------------------------------- misc
+
+def test_cli_refused_runs_leave_no_output_path(tmp_path, capsys):
+    # the output directory is made with the first output, and every input
+    # check comes before that
+    g1, g2 = write_samples(tmp_path)
+    refused = {
+        "iid-weighted": ["validate-weights", "--scheme", "iid-weighted",
+                         "--m", "8"],
+        "jackknife": ["test", "--group1", g1, "--group2", g2,
+                      "--method", "jackknife"],
+        "horizon": ["estimate", "--input", g1, "--horizon", "-1"],
+    }
+    for name, argv in refused.items():
+        out = tmp_path / "out" / name
+        assert main(argv + ["--seed", "1", "--out", str(out)]) == 2, name
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists(), name
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_out_naming_a_file_is_refused_before_any_work(tmp_path, capsys):
+    # the directory is made late, but a file in its place is found early
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    assert main(["simulate", "--suite", "table1", "--cells", "n=50,l1=0",
+                 "--nsim", "2", "--B", "19", "--workers", "1", "--seed", "1",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"output directory {out} is a file" in captured.err
+    assert "cell 1/" not in captured.err
+    assert out.read_text() == "keep"
+
+
+def test_cli_alpha_too_small_for_a_normal_quantile(tmp_path, capsys):
+    # 1 - alpha rounds to 1 for alpha <= 2**-54, where the normal quantile
+    # is undefined: an input error, not a traceback
+    g1, g2 = write_samples(tmp_path)
+    runs = [["test", "--group1", g1, "--group2", g2, "--method", method,
+             "--B", "19"] for method in ("asymptotic", "efron", "wild")]
+    runs.append(["simulate", "--suite", "table1", "--cells", "n=50,l1=0",
+                 "--nsim", "2", "--B", "19", "--workers", "1"])
+    for k, argv in enumerate(runs):
+        out = tmp_path / f"o{k}"
+        assert main(argv + ["--alpha", "1e-20", "--seed", "1",
+                            "--out", str(out)]) == 2, argv
+        assert "alpha must be in (0, 1) and above 2**-54, got 1e-20" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_cli_version():
     with pytest.raises(SystemExit) as exc:

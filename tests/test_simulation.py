@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from cifboot.simulation import (PHI_E, PHI_N, PHI_W, ConstantPair, Group1Exp,
                                 PiecewiseConstant, ScenarioConfig, draw_panel,
                                 MonteCarloReport, parse_cells, run_scenario,
                                 scenario_matches, suite_configs, _run_range)
+from cifboot.resampling import EFRON, WILD_NORMAL
+from cifboot.rng import substream
 
 
 class FixedExponentials:
@@ -314,6 +317,47 @@ def test_replicate_diagnostics_are_worker_invariant_sums():
                 <= window + by_e + by_w)
         windows += window
     assert windows > 0
+
+
+def test_simulate_tallies_are_the_test_verdicts():
+    # redraw each dataset off its substreams and run the tests users run:
+    # a DataError is a degenerate window, a NumericalError an all-degenerate
+    # bootstrap; Efron then wild draw off the one weight generator
+    config = fast_config(n1=4, n2=4, censor_rates=(2.0, 2.0),
+                         interval=(0.2, 1.5), n_sim=60)
+    tconf, sid = config.test_config, config.scenario_id
+    expected = Counter()
+    for r in range(config.n_sim):
+        rng_data = substream(config.seed, sid, r, "data")
+        rng_weights = substream(config.seed, sid, r, "weights")
+        p1 = draw_panel(config.model1, config.n1, config.censor_rates[0],
+                        rng_data)
+        p2 = draw_panel(config.model2, config.n2, config.censor_rates[1],
+                        rng_data)
+        try:
+            expected["reject_phi_n"] += cb.test_phi_n(p1, p2, tconf).reject
+        except cb.DataError:
+            expected.update(error_count=1, degenerate_windows=1)
+            continue
+        failed = False
+        for method, kind in (("phi_e", EFRON), ("phi_w", WILD_NORMAL)):
+            conf = dataclasses.replace(tconf, scheme=cb.WeightScheme(kind))
+            try:
+                expected["reject_" + method] += cb.test_phi_star(
+                    p1, p2, conf, rng=rng_weights).reject
+            except cb.NumericalError:
+                expected["all_degenerate_" + method] += 1
+                failed = True
+        expected["error_count"] += failed
+
+    tally = _run_range(config, 0, config.n_sim)
+    names = ("reject_phi_n", "reject_phi_e", "reject_phi_w", "error_count",
+             "degenerate_windows", "all_degenerate_phi_e",
+             "all_degenerate_phi_w")
+    assert {n: tally[n] for n in names} == {n: expected[n] for n in names}
+    # every cause shows up, and so do rejections
+    assert all(expected[n] > 0 for n in names[3:])
+    assert expected["reject_phi_e"] + expected["reject_phi_w"] > 0
 
 
 def test_report_rates():

@@ -45,6 +45,11 @@ def test_config_validation():
         cb.TestConfig(t1=-1.0, t2=1.0)
     with pytest.raises(cb.DataError, match="alpha"):
         cb.TestConfig(alpha=1.0)
+    # the smallest alpha whose 1 - alpha is below 1 in floating point
+    assert cb.TestConfig(alpha=2.0**-53).alpha == 2.0**-53
+    for alpha in (2.0**-54, 1e-20, 5e-324):
+        with pytest.raises(cb.DataError, match="alpha"):
+            cb.TestConfig(alpha=alpha)
     with pytest.raises(cb.DataError, match="B"):
         cb.TestConfig(B=0)
     flat = cb.StepFunction(np.array([1.0]), np.array([0.0]), 1.0)
@@ -684,6 +689,26 @@ def test_phi_star_is_deterministic_given_seed():
     np.testing.assert_array_equal(a.replicates, b.replicates)
     assert a.replicates.shape == (99,)
     assert a.method == "efron" and a.B == 99 and a.scheme == "efron"
+
+
+def test_verdict_reads_method_and_scheme_off_the_block():
+    p1 = build_panel(HAND + [(0, 8, 1), (0, 10, 0)])
+    p2 = build_panel([(0, 2, 2), (0, 6, 1), (0, 12, 0)])
+    prep = twosample.prepare_test(p1, p2, cb.TestConfig(t2=4.0))
+    block = cb.replicate_block(prep, cb.WeightScheme(WILD_POISSON), 99,
+                               np.random.default_rng(7))
+    assert block.scheme == WILD_POISSON
+    res = cb.verdict(prep, 0.05, block)
+    assert (res.method, res.scheme, res.B) == ("wild", "wild-poisson", 99)
+    assert res.replicates is block.studentized
+    assert res.critical_value == cb.bootstrap_critical_value(
+        block.studentized, 0.05)
+    assert res.reject == (prep.studentized > res.critical_value)
+    normal = cb.verdict(prep, 0.05)
+    assert (normal.method, normal.B, normal.scheme) == ("asymptotic", None, None)
+    assert normal.critical_value == pytest.approx(scipy.stats.norm.ppf(0.95),
+                                                  rel=1e-14)
+    assert normal == cb.test_phi_n(p1, p2, cb.TestConfig(t2=4.0))
 
 
 def test_phi_star_reports_degenerate_counts():
