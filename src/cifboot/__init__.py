@@ -23,8 +23,8 @@ from .simulation import (ConstantPair, Group1Exp, HazardModel,
                          draw_panel, run_scenario, suite_configs)
 from .stepfun import CONSTANT_ONE, StepFunction
 from .twosample import (NumericalError, PreparedTest, ReplicateBlock,
-                        TestConfig, TestResult, bootstrap_critical_value,
-                        effective_window, prepare_test, replicate_block,
-                        test_phi_n, test_phi_star, verdict)
+                        TestConfig, TestResult, effective_window,
+                        prepare_test, replicate_block, test_phi_n,
+                        test_phi_star, verdict)
 
 __version__ = "0.1.0"

@@ -24,8 +24,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .data import (DataError, check_positive_risk, compile_panel, ingest_csv,
-                   read_utf8)
+from .data import (DataError, check_count, check_positive_risk,
+                   compile_panel, ingest_csv, read_utf8)
 from .estimators import aalen_johansen, kaplan_meier
 from .resampling import (EFRON, WILD_NORMAL, WeightScheme,
                          validate_weight_conditions)
@@ -200,8 +200,7 @@ def resolve_options(args: argparse.Namespace, keys,
                 raise DataError(f"missing required option --{key.replace('_', '-')}")
             val = default() if callable(default) else default
         opts[key] = val
-    if opts["seed"] < 0:
-        raise DataError(f"seed must be >= 0, got {opts['seed']}")
+    check_count("seed", opts["seed"], 0)
     if os.path.isfile(opts["out"]):
         raise DataError(f"output directory {opts['out']} is a file")
     return opts

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -19,6 +20,16 @@ import numpy as np
 
 class DataError(ValueError):
     """Invalid user input (malformed file, bad configuration, empty sample)."""
+
+
+def check_count(name: str, value, least: int) -> int:
+    """``value`` as an int; a :class:`DataError` unless it is an integer of
+    at least ``least`` (not a bool, though Python counts one an integer)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DataError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 class Status(IntEnum):
@@ -241,33 +252,26 @@ def read_utf8(path) -> str:
 
 
 def ingest_csv(path, *, entry_col: str = "entry", exit_col: str = "exit",
-               status_col: str = "status", censored_code: str = "0",
-               cause1_code: str = "1", cause2_code: str = "2") -> Sample:
+               status_col: str = "status") -> Sample:
     """Read a sample from a headed CSV file.
 
     The exit and status columns are required, and so is the entry column
     under any name but the default ``entry``, whose absence means every
-    entry time is 0.  Status codes are compared as stripped strings against
-    the three configured codes.  Empty lines are skipped.  Rows get the
-    same checks as :func:`compile_panel_arrays`, and every error names a
-    file line.  The checks run column by column (field count, exit, entry,
-    status code, then the row check), so with several bad rows the first
-    row failing the earliest check is the one named.  The file must be
-    UTF-8; a leading byte-order mark is ignored.  A header that names the
-    entry, exit or status column twice is an error, and so is one name
-    given to two of those roles.
+    entry time is 0.  A status field, stripped, must be 0, 1 or 2 (see
+    :class:`Status`); callers with other codes map them first.  Empty lines
+    are skipped.  Rows get the same checks as :func:`compile_panel_arrays`,
+    and every error names a file line.  The checks run column by column
+    (field count, exit, entry, status code, then the row check), so with
+    several bad rows the first row failing the earliest check is the one
+    named.  The file must be UTF-8; a leading byte-order mark is ignored.  A
+    header that names the entry, exit or status column twice is an error,
+    and so is one name given to two of those roles.
 
     The rows are parsed in one C pass (``np.loadtxt``).  Where that parse
     fails, or its rows fail a check, the csv-module walk of
     :func:`_walk_rows` reads them instead: it names the bad line, and it
     also accepts what the C parser refuses (``1_000``, padded codes).
     """
-    code_map = {censored_code: Status.CENSORED,
-                cause1_code: Status.CAUSE1,
-                cause2_code: Status.CAUSE2}
-    if len(code_map) != 3:
-        raise DataError("status codes must be three distinct values")
-
     text = read_utf8(path)
     stream = io.StringIO(text, newline="")
     reader = csv.reader(stream)
@@ -293,32 +297,31 @@ def ingest_csv(path, *, entry_col: str = "entry", exit_col: str = "exit",
              if name in col}
 
     body = stream.tell()
-    if not any(c in s for s in (text, *code_map) for c in _WALK_ONLY):
-        sample = _parse_rows(stream, roles, code_map)
+    if not any(c in text for c in _WALK_ONLY):
+        sample = _parse_rows(stream, roles)
         if sample is not None:
             return sample
         stream.seek(body)
-    return _walk_rows(reader, roles, code_map)
+    return _walk_rows(reader, roles)
 
 
 # numpy strings drop trailing NULs, and numpy's C float parser skips
 # \x1c-\x1f as blanks where float() refuses them: only the walk reads these
 _WALK_ONLY = "\x00\x1c\x1d\x1e\x1f"
+# the one status format a file may use: the codes "0", "1" and "2"
+_STATUS_CODES = {str(int(code)): code for code in Status}
 
 
-def _parse_rows(stream, roles: dict[str, int],
-                code_map: dict[str, Status]) -> Sample | None:
+def _parse_rows(stream, roles: dict[str, int]) -> Sample | None:
     """The rows after the header from one ``np.loadtxt`` call, or None where
     the parse or a row check fails.
 
-    Status fields are read one character wider than the longest code, so a
+    Status fields are read two characters wide, one more than a code, so a
     longer field is cut to a string that matches no code.  A field matches
     a code only when equal to it; a padded field is left to the walk, which
     strips it.
     """
-    width = 1 + max(map(len, code_map))
-    dtype = [(role, f"U{width}" if role == "status" else "f8")
-             for role in roles]
+    dtype = [(role, "U2" if role == "status" else "f8") for role in roles]
     with warnings.catch_warnings():
         # a body without rows warns; the walk accepts it silently
         warnings.simplefilter("ignore", UserWarning)
@@ -329,9 +332,8 @@ def _parse_rows(stream, roles: dict[str, int],
         except ValueError:
             return None
     status = np.full(len(rows), -1, dtype=np.int64)
-    for code, value in code_map.items():
-        if code == code.strip():  # a padded code matches no stripped field
-            status[rows["status"] == code] = value
+    for code, value in _STATUS_CODES.items():
+        status[rows["status"] == code] = value
     exit_ = rows["exit"].copy()
     entry = rows["entry"].copy() if "entry" in roles else np.zeros(len(rows))
     if _first_bad_row(entry, exit_, status) is not None:
@@ -339,8 +341,7 @@ def _parse_rows(stream, roles: dict[str, int],
     return Sample(entry, exit_, status)
 
 
-def _walk_rows(reader, roles: dict[str, int],
-               code_map: dict[str, Status]) -> Sample:
+def _walk_rows(reader, roles: dict[str, int]) -> Sample:
     """The rows after the header, read by the csv module one at a time.
 
     This is the reference reading of the file: every error names the file
@@ -373,7 +374,7 @@ def _walk_rows(reader, roles: dict[str, int],
     entry = floats("entry") if "entry" in roles else np.zeros(len(rows))
     codes = [row[roles["status"]].strip() for row in rows]
     try:
-        status = np.array([code_map[c] for c in codes], dtype=np.int64)
+        status = np.array([_STATUS_CODES[c] for c in codes], dtype=np.int64)
     except KeyError as exc:
         k = codes.index(exc.args[0])
         raise DataError(f"line {lines[k]}: unknown status code "

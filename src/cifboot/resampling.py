@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import CountingProcessPanel, DataError
+from .data import CountingProcessPanel, DataError, check_count
 from .estimators import PluginTables, check_grid, plugin_tables
 
 EFRON = "efron"
@@ -80,8 +80,7 @@ def draw_weights(scheme: WeightScheme, rows: int, m: int,
     so the way a run is split into blocks never changes the draws; an
     iid-weighted ``eta_sampler`` must keep that contract for its blocks.
     """
-    if m < 1:
-        raise DataError(f"weight vector length must be >= 1, got {m}")
+    rows, m = check_count("rows", rows, 0), check_count("m", m, 1)
     if scheme.kind == EFRON:
         # a row's tallies of m uniform labels are its Multinomial(m, 1/m)
         # counts: O(m) per row, no binomial splitting
@@ -222,10 +221,9 @@ def validate_weight_conditions(scheme: WeightScheme, m: int, draws: int,
     estimators over each drawn vector, which is both unbiased and far less
     noisy than reading off fixed coordinates.
     """
-    if draws < 10_000:
-        raise DataError(f"need at least 10000 draws for stable moments, got {draws}")
-    if m < 4:
-        raise DataError("moment validation needs m >= 4")
+    # fewer draws give unstable moments; the cross moments need m >= 4
+    draws = check_count("draws", draws, 10_000)
+    m = check_count("m", m, 4)
 
     half = m / 2.0  # vectors of length m = 2n correspond to sample size n = m/2
     per_draw = {name: np.empty(draws) for name in

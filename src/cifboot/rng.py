@@ -13,6 +13,8 @@ import hashlib
 
 import numpy as np
 
+from .data import DataError, check_count
+
 _ROLES = {"data": 0, "weights": 1}
 
 
@@ -25,12 +27,11 @@ def scenario_key(scenario_id: str) -> int:
 def substream(seed: int, scenario_id: str, replicate: int, role: str) -> np.random.Generator:
     """Generator for one (scenario, replicate, role) cell under a master seed."""
     if role not in _ROLES:
-        raise ValueError(f"unknown stream role {role!r}")
-    ss = np.random.SeedSequence(
-        entropy=seed,
-        spawn_key=(scenario_key(scenario_id), replicate, _ROLES[role]),
-    )
-    return np.random.default_rng(ss)
+        raise DataError(f"unknown stream role {role!r}")
+    key = (scenario_key(scenario_id), check_count("replicate", replicate, 0),
+           _ROLES[role])
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=check_count("seed", seed, 0), spawn_key=key))
 
 
 def fresh_seed() -> int:

@@ -23,7 +23,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .data import CountingProcessPanel, DataError, compile_panel_arrays
+from .data import (CountingProcessPanel, DataError, check_count,
+                   compile_panel_arrays)
 from .resampling import EFRON, WILD_NORMAL, WeightScheme
 from .rng import substream
 from .twosample import NumericalError, TestConfig, prepare_test, \
@@ -140,8 +141,12 @@ def draw_panel(model: HazardModel, n: int, censor_rate: float,
     """Draw a compiled n-subject panel in one vectorized pass.
 
     Consumes the generator in block order: all event times, then all cause
-    uniforms, then all censoring draws.
+    uniforms, then all censoring draws (none at rate 0); a negative or
+    non-finite rate is a :class:`DataError`.
     """
+    n = check_count("n", n, 1)
+    if not 0.0 <= censor_rate < math.inf:
+        raise DataError(f"censor_rate must be finite and >= 0, got {censor_rate!r}")
     t = model.event_times(rng, n)
     u = rng.random(n)
     cause = np.where(u < model.cause1_prob(t), 1, 2)
@@ -172,10 +177,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n1 < 2 or self.n2 < 2:
-            raise DataError("need n1, n2 >= 2")
-        if self.n_sim < 1:
-            raise DataError("need n_sim >= 1")
+        for name, least in (("n1", 2), ("n2", 2), ("n_sim", 1), ("seed", 0)):
+            check_count(name, getattr(self, name), least)
         for name in ("censor_rates", "interval"):
             if len(getattr(self, name)) != 2:
                 raise DataError(f"{name} needs two values, got {getattr(self, name)!r}")
@@ -278,7 +281,7 @@ def _run_range(config: ScenarioConfig, lo: int, hi: int) -> Counter:
         except DataError:
             tally.update(error_count=1, degenerate_windows=1)
             continue
-        tally["reject_phi_n"] += verdict(prep, config.alpha).reject
+        tally["reject_phi_n"] += verdict(prep).reject
 
         # Efron first, then wild, off the shared per-dataset weight stream
         eblock = replicate_block(prep, efron, config.B, rng_weights)
@@ -289,8 +292,7 @@ def _run_range(config: ScenarioConfig, lo: int, hi: int) -> Counter:
         failed = False
         for method, block in (("phi_e", eblock), ("phi_w", wblock)):
             try:
-                tally["reject_" + method] += verdict(prep, config.alpha,
-                                                     block).reject
+                tally["reject_" + method] += verdict(prep, block).reject
             except NumericalError:
                 tally["all_degenerate_" + method] += 1
                 failed = True
@@ -307,8 +309,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloReport:
     substream-per-replicate design makes the aggregate independent of the
     split.  A count below 1 is a :class:`DataError`.
     """
-    if workers < 1:
-        raise DataError(f"workers must be >= 1, got {workers}")
+    workers = check_count("workers", workers, 1)
     start = time.perf_counter()
     if workers == 1 or config.n_sim < 4:
         tally = _run_range(config, 0, config.n_sim)

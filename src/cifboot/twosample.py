@@ -29,7 +29,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import CountingProcessPanel, DataError
+from .data import CountingProcessPanel, DataError, check_count
 from .resampling import (BAYESIAN, EFRON, IID_WEIGHTED, WeightScheme, ZArray,
                          build_z, draw_weights, row_chunks)
 from .stepfun import CONSTANT_ONE, StepFunction
@@ -64,8 +64,7 @@ class TestConfig:
         if not 0.0 < 1.0 - self.alpha < 1.0:
             raise DataError(f"alpha must be in (0, 1) and above 2**-54, got "
                             f"{self.alpha}")
-        if self.B < 1:
-            raise DataError(f"B must be >= 1, got {self.B}")
+        check_count("B", self.B, 1)
         if self.rho is not None:
             if not np.all(np.isfinite(self.rho.jump_times)):
                 raise DataError("rho jump times must be finite")
@@ -117,8 +116,9 @@ class TestResult:
 
 @dataclass(frozen=True, eq=False)
 class PreparedTest:
-    """One prepared dataset: the signed per-entry window integrals of the
-    pooled two-group Z functions, T_n and V_n^2.
+    """One prepared dataset under its ``config``: the signed per-entry window
+    integrals of the pooled two-group Z functions, T_n, V_n^2 and ``t2``, the
+    window end after :func:`effective_window`.
 
     ``integrals`` has length 2(n1 + n2): group 1's cause-1 slots, group 1's
     cause-2 slots, then group 2's slots with flipped sign (the statistic
@@ -129,9 +129,8 @@ class PreparedTest:
 
     n1: int
     n2: int
-    t1: float
+    config: TestConfig
     t2: float
-    requested_t2: float
     integrals: np.ndarray = field(repr=False)
     statistic: float
     variance: float
@@ -141,13 +140,13 @@ class PreparedTest:
 
     @property
     def truncated(self) -> bool:
-        return self.t2 < self.requested_t2
+        return self.t2 < self.config.t2
 
     @property
     def warning(self) -> str | None:
         if self.truncated:
-            return (f"window truncated to [{self.t1}, {self.t2}]: a group "
-                    f"runs out of risk before {self.requested_t2}")
+            return (f"window truncated to [{self.config.t1}, {self.t2}]: a "
+                    f"group runs out of risk before {self.config.t2}")
         return None
 
     @property
@@ -242,7 +241,7 @@ def prepare_test(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
     i2, s2 = _group_integrals(build_z(panel2), t1, t2, rho, -1.0)
     kappa = _kappa(panel1.n, panel2.n)
     return PreparedTest(
-        n1=panel1.n, n2=panel2.n, t1=t1, t2=t2, requested_t2=config.t2,
+        n1=panel1.n, n2=panel2.n, config=config, t2=t2,
         integrals=np.concatenate((i1, i2)),
         statistic=kappa * (s1 - s2),
         variance=float(kappa**2 * (np.sum(i1 * i1) + np.sum(i2 * i2))))
@@ -299,6 +298,7 @@ def replicate_block(pooled: PreparedTest, scheme: WeightScheme, B: int,
     if scheme.kind in (IID_WEIGHTED, BAYESIAN):
         raise DataError("the two-sample bootstrap test supports the efron "
                         "and wild schemes only")
+    B = check_count("B", B, 1)
     i = pooled.integrals
     inz = i[i != 0.0]
     k, m = inz.size, pooled.size
@@ -352,10 +352,10 @@ def bootstrap_critical_value(replicates: np.ndarray, alpha: float) -> float:
     return float(np.partition(replicates, rank - 1)[rank - 1])
 
 
-def verdict(prep: PreparedTest, alpha: float,
+def verdict(prep: PreparedTest,
             block: ReplicateBlock | None = None) -> TestResult:
-    """Decide the one-sided test of a prepared dataset at level ``alpha``
-    (as :class:`TestConfig` checks it): the one decision rule of every test.
+    """Decide the one-sided test of a prepared dataset at its config's level
+    alpha: the one decision rule of every test.
 
     Without ``block``, T_n/V_n is compared with the normal (1 - alpha)-quantile
     and the p-value is 1 - Phi(T_n/V_n); a zero plug-in variance sets T_n/V_n
@@ -366,7 +366,7 @@ def verdict(prep: PreparedTest, alpha: float,
     against, which raises :class:`NumericalError`; its message names the
     cause, an eventless window or bad luck in a small B.
     """
-    stud = prep.studentized
+    stud, alpha = prep.studentized, prep.config.alpha
     bootstrap = {}
     if block is None:
         method = "asymptotic"
@@ -391,7 +391,7 @@ def verdict(prep: PreparedTest, alpha: float,
     return TestResult(
         method=method, statistic=prep.statistic, variance=prep.variance,
         studentized=stud, critical_value=crit, p_value=p_value,
-        reject=stud > crit, alpha=alpha, interval=(prep.t1, prep.t2),
+        reject=stud > crit, alpha=alpha, interval=(prep.config.t1, prep.t2),
         truncated=prep.truncated, warning=prep.warning, vn_zero=prep.vn_zero,
         **bootstrap)
 
@@ -399,7 +399,7 @@ def verdict(prep: PreparedTest, alpha: float,
 def test_phi_n(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
                config: TestConfig) -> TestResult:
     """Asymptotic one-sided test: :func:`prepare_test`, then :func:`verdict`."""
-    return verdict(prepare_test(panel1, panel2, config), config.alpha)
+    return verdict(prepare_test(panel1, panel2, config))
 
 
 def test_phi_star(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
@@ -408,5 +408,4 @@ def test_phi_star(panel1: CountingProcessPanel, panel2: CountingProcessPanel,
     """Bootstrap one-sided test: :func:`prepare_test`, B replicates drawn
     from ``rng`` by :func:`replicate_block`, then :func:`verdict`."""
     prep = prepare_test(panel1, panel2, config)
-    return verdict(prep, config.alpha,
-                   replicate_block(prep, config.scheme, config.B, rng))
+    return verdict(prep, replicate_block(prep, config.scheme, config.B, rng))

@@ -405,8 +405,8 @@ def test_criterion_7_null_pivotality():
         if r < 1000:
             rng_w = substream(seed, "acceptance;pivotal", r, "weights")
             block = twosample.replicate_block(prep, scheme, 999, rng_w)
-            if (twosample.verdict(prep, 0.05).reject
-                    != twosample.verdict(prep, 0.05, block).reject):
+            if (twosample.verdict(prep).reject
+                    != twosample.verdict(prep, block).reject):
                 disagreements += 1
 
     ks = scipy.stats.kstest(studs, "norm").statistic

@@ -246,21 +246,6 @@ def test_ingest_csv_malformed_number(tmp_path):
         cb.ingest_csv(path)
 
 
-def test_ingest_csv_custom_codes(tmp_path):
-    path = tmp_path / "coded.csv"
-    path.write_text("exit,status\n1,relapse\n2,alive\n3,nrm\n")
-    sample = cb.ingest_csv(path, censored_code="alive",
-                           cause1_code="relapse", cause2_code="nrm")
-    assert sample.status.tolist() == [1, 0, 2]
-
-
-def test_ingest_csv_rejects_duplicate_codes(tmp_path):
-    path = tmp_path / "coded.csv"
-    path.write_text("exit,status\n1,x\n")
-    with pytest.raises(cb.DataError, match="distinct"):
-        cb.ingest_csv(path, censored_code="x", cause1_code="x")
-
-
 def test_ingest_csv_bad_observation_reports_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("entry,exit,status\n0,1,1\n2,1,0\n")
@@ -344,49 +329,45 @@ def test_ingest_csv_rejects_one_column_in_two_roles(tmp_path, roles):
         cb.ingest_csv(path, **roles)
 
 
-@pytest.mark.parametrize("text, cause1_code, message", [
-    ("exit,status\n\x1c1,1\n", "1", "^line 2: could not convert string to float"),
-    ("exit,status\n1,1\x00\n", "1", r"^line 2: unknown status code '1\\x00'"),
-    ("exit,status\n1,1\n", "1\x00", "^line 2: unknown status code '1'"),
+@pytest.mark.parametrize("text, message", [
+    ("exit,status\n\x1c1,1\n", "^line 2: could not convert string to float"),
+    ("exit,status\n1,1\x00\n", r"^line 2: unknown status code '1\\x00'"),
 ])
 def test_ingest_csv_reads_control_characters_like_the_walk(
-        tmp_path, text, cause1_code, message):
+        tmp_path, text, message):
     # numpy's C float parser skips \x1c-\x1f as blanks and its strings drop
     # trailing NULs; neither may let a row through that the walk refuses
     path = tmp_path / "ctrl.csv"
     path.write_text(text)
     with pytest.raises(cb.DataError, match=message):
-        cb.ingest_csv(path, cause1_code=cause1_code)
+        cb.ingest_csv(path)
 
 
 @st.composite
 def csv_samples(draw, scale):
-    """Subjects written as CSV text: random column order, custom status
+    """Subjects written as CSV text: random column order, padded status
     codes and blank lines, the entry column dropped when every entry is 0."""
     subs = draw(subjects(n_min=1, truncated=True))
     cols = ["exit", "status"] + (["entry"] if any(a for a, _, _ in subs) else [])
     cols = draw(st.permutations(cols))
-    codes = draw(st.lists(st.text("abz09", min_size=1, max_size=3),
-                          min_size=3, max_size=3, unique=True))
     lines = [",".join(cols)]
     for a, b, s in subs:
         lines += [""] * draw(st.integers(0, 2))
         pad = draw(st.sampled_from(["", " "]))
         field = {"entry": repr(a / 2 * scale), "exit": repr(b / 2 * scale),
-                 "status": pad + codes[s] + pad}
+                 "status": pad + str(s) + pad}
         lines.append(",".join(field[c] for c in cols))
-    return "\n".join(lines) + "\n", subs, codes
+    return "\n".join(lines) + "\n", subs
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0 ** 1000, 2.0 ** -1000])
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_ingest_csv_compiles_like_arrays(tmp_path, scale, data):
-    text, subs, codes = data.draw(csv_samples(scale))
+    text, subs = data.draw(csv_samples(scale))
     path = tmp_path / "sample.csv"
     path.write_text(text)
-    got = cb.compile_panel(cb.ingest_csv(
-        path, censored_code=codes[0], cause1_code=codes[1], cause2_code=codes[2]))
+    got = cb.compile_panel(cb.ingest_csv(path))
     want = build_panel(subs)
     assert got.n == want.n
     for name in ("times", "at_risk", "d1", "d2", "d0", "subject_jumps", "entries"):
@@ -412,11 +393,7 @@ def messy_csv(draw):
     long rows, a byte-order mark, codes and fields that extend a code, and
     numbers only Python's float() reads.  At most one field per file is
     odd, so that the rest of the file does not hide how it is read."""
-    codes = draw(st.one_of(
-        st.sampled_from([("0", "1", "2"), ("alive", "relapse", "nrm"),
-                         ("1", "10", "2"), ("1", "1\x00", "2")]),
-        st.lists(st.text(' az0"\x00', max_size=3), min_size=3, max_size=3,
-                 unique=True).map(tuple)))
+    codes = ("0", "1", "2")
     cols = draw(st.permutations(["entry", "exit", "status", "note"]))
     cols = [c for c in cols if c != "entry" or draw(st.booleans())]
     header = ",".join(f'"{c}"' if draw(st.booleans()) else c for c in cols)
@@ -447,13 +424,12 @@ def messy_csv(draw):
     if draw(st.booleans()):
         text = text.removesuffix(ends[-1])
     bom = "\ufeff" if draw(st.booleans()) else ""
-    return bom + text, codes
+    return bom + text
 
 
-def _outcome(read, path, codes):
-    kwargs = dict(zip(("censored_code", "cause1_code", "cause2_code"), codes))
+def _outcome(read, path):
     try:
-        return read(path, **kwargs)
+        return read(path)
     except (cb.DataError, oracles.ReferenceDataError) as exc:
         return "DataError", str(exc)
     except Exception as exc:  # the walk's own failures must match too
@@ -464,13 +440,13 @@ def _outcome(read, path, codes):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_ingest_csv_matches_the_csv_walk(tmp_path, data):
-    text, codes = data.draw(messy_csv())
+    text = data.draw(messy_csv())
     path = tmp_path / "messy.csv"
     path.write_bytes(text.encode("utf-8"))
-    want = _outcome(oracles.reference_ingest_csv, path, codes)
+    want = _outcome(oracles.reference_ingest_csv, path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = _outcome(cb.ingest_csv, path, codes)
+        got = _outcome(cb.ingest_csv, path)
     assert caught == []
     if isinstance(got, cb.Sample):
         got = got.entry, got.exit, got.status

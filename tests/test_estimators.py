@@ -243,8 +243,8 @@ def test_vn_is_the_window_integral_of_zeta_hat():
                             rho=rho)
         prep = cb.prepare_test(p1, p2, cfg)
         pts = np.unique(np.concatenate(
-            ([prep.t1, prep.t2], p1.times, p2.times, rho.jump_times)))
-        pts = pts[(pts >= prep.t1) & (pts <= prep.t2)]
+            ([cfg.t1, prep.t2], p1.times, p2.times, rho.jump_times)))
+        pts = pts[(pts >= cfg.t1) & (pts <= prep.t2)]
         left = pts[:-1]
         r = rho(left) * np.diff(pts)
         cov = cb.zeta_hat(p1, left) / p1.n + cb.zeta_hat(p2, left) / p2.n

@@ -410,7 +410,7 @@ def test_validate_weight_conditions_guards():
     rng = np.random.default_rng(0)
     with pytest.raises(cb.DataError, match="10000"):
         cb.validate_weight_conditions(cb.WeightScheme(EFRON), 8, 100, rng)
-    with pytest.raises(cb.DataError, match="m >= 4"):
+    with pytest.raises(cb.DataError, match="m must be >= 4"):
         cb.validate_weight_conditions(cb.WeightScheme(EFRON), 2, 20_000, rng)
 
 

@@ -632,11 +632,11 @@ def test_thinned_efron_has_the_multinomial_law():
 
 def test_critical_rank_convention():
     # the rank is ceil((1 - alpha)(B + 1)): 950 of 999, 19 of 19
-    assert cb.bootstrap_critical_value(np.arange(999.0), 0.05) == 949.0
-    assert cb.bootstrap_critical_value(np.arange(19.0), 0.05) == 18.0
+    assert twosample.bootstrap_critical_value(np.arange(999.0), 0.05) == 949.0
+    assert twosample.bootstrap_critical_value(np.arange(19.0), 0.05) == 18.0
     # B too small for the requested level (rank 11 of 10): the critical
     # value is +inf
-    assert math.isinf(cb.bootstrap_critical_value(np.arange(10.0), 0.05))
+    assert math.isinf(twosample.bootstrap_critical_value(np.arange(10.0), 0.05))
     p1 = build_panel(HAND + [(0, 8, 1)])
     p2 = build_panel([(0, 2, 2), (0, 6, 1), (0, 10, 0)])
     res = cb.test_phi_star(p1, p2, cb.TestConfig(t2=3.0, B=10),
@@ -648,9 +648,9 @@ def test_critical_rank_convention():
 
 def test_bootstrap_critical_value_is_the_rank_order_statistic():
     values = np.random.default_rng(0).permutation(99).astype(float)
-    assert cb.bootstrap_critical_value(values, 0.05) == 94.0  # rank 95
-    assert cb.bootstrap_critical_value(values[:19], 0.05) == values[:19].max()
-    assert math.isinf(cb.bootstrap_critical_value(values[:10], 0.05))
+    assert twosample.bootstrap_critical_value(values, 0.05) == 94.0  # rank 95
+    assert twosample.bootstrap_critical_value(values[:19], 0.05) == values[:19].max()
+    assert math.isinf(twosample.bootstrap_critical_value(values[:10], 0.05))
     p1 = build_panel(HAND + [(0, 8, 1), (0, 10, 0)])
     p2 = build_panel([(0, 2, 2), (0, 6, 1), (0, 12, 0)])
     res = cb.test_phi_star(p1, p2, cb.TestConfig(t2=4.0, B=99),
@@ -665,7 +665,7 @@ def test_bootstrap_critical_rank_is_exact_for_decimal_alpha():
     for alpha, B, rank in ((0.18, 999, 820), (0.41, 99, 59),
                            (np.float64(0.18), 999, 820),
                            (0.05, 999, 950), (0.1, 19, 18)):
-        crit = cb.bootstrap_critical_value(np.arange(float(B)), alpha)
+        crit = twosample.bootstrap_critical_value(np.arange(float(B)), alpha)
         assert crit == rank - 1, (alpha, B)
     # with the rank one too high, a replicate at p_value == alpha retained
     rng = np.random.default_rng(0)
@@ -698,13 +698,13 @@ def test_verdict_reads_method_and_scheme_off_the_block():
     block = cb.replicate_block(prep, cb.WeightScheme(WILD_POISSON), 99,
                                np.random.default_rng(7))
     assert block.scheme == WILD_POISSON
-    res = cb.verdict(prep, 0.05, block)
+    res = cb.verdict(prep, block)
     assert (res.method, res.scheme, res.B) == ("wild", "wild-poisson", 99)
     assert res.replicates is block.studentized
-    assert res.critical_value == cb.bootstrap_critical_value(
+    assert res.critical_value == twosample.bootstrap_critical_value(
         block.studentized, 0.05)
     assert res.reject == (prep.studentized > res.critical_value)
-    normal = cb.verdict(prep, 0.05)
+    normal = cb.verdict(prep)
     assert (normal.method, normal.B, normal.scheme) == ("asymptotic", None, None)
     assert normal.critical_value == pytest.approx(scipy.stats.norm.ppf(0.95),
                                                   rel=1e-14)
