@@ -222,13 +222,9 @@ def check_positive_risk(panel: CountingProcessPanel, horizon: float) -> Positive
     if zero_after is None and panel.last_time < horizon:
         zero_after = panel.last_time
 
-    return PositiveRiskReport(
-        n=panel.n,
-        horizon=float(horizon),
-        min_fraction=min_fraction,
-        min_time=min_time,
-        zero_after=zero_after,
-    )
+    return PositiveRiskReport(n=panel.n, horizon=float(horizon),
+                              min_fraction=min_fraction, min_time=min_time,
+                              zero_after=zero_after)
 
 
 def _at_risk_between(panel: CountingProcessPanel, t: np.ndarray) -> np.ndarray:

@@ -67,8 +67,7 @@ class WeightScheme:
 # pass, the gathered integrals of an Efron block) stay in a 2 MiB per-core L2
 # across the passes made over them.  A block far above L2 goes to DRAM on
 # every pass, and one at glibc's 32 MiB mmap ceiling is mapped afresh per
-# chunk.  The draws do not depend on the size; a wild block's BLAS row sums
-# do, in their last bits, so the size is one constant.
+# chunk.  Neither the draws nor any replicate depend on the size.
 _CHUNK_ELEMS = 1 << 17
 
 

@@ -148,16 +148,11 @@ def draw_panel(model: HazardModel, n: int, censor_rate: float,
     if not 0.0 <= censor_rate < math.inf:
         raise DataError(f"censor_rate must be finite and >= 0, got {censor_rate!r}")
     t = model.event_times(rng, n)
-    u = rng.random(n)
-    cause = np.where(u < model.cause1_prob(t), 1, 2)
+    cause = np.where(rng.random(n) < model.cause1_prob(t), 1, 2)
+    exit_, status = t, cause
     if censor_rate > 0:
         c = rng.standard_exponential(n) / censor_rate
-        observed = t <= c
-        exit_ = np.where(observed, t, c)
-        status = np.where(observed, cause, 0)
-    else:
-        exit_ = t
-        status = cause
+        exit_, status = np.minimum(t, c), np.where(t <= c, cause, 0)
     return compile_panel_arrays(np.zeros(n), exit_, status)
 
 

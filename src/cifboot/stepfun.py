@@ -48,9 +48,7 @@ class StepFunction:
         out = np.where(idx >= 0,
                        self.values[np.clip(idx, 0, None)] if self.values.size else 0.0,
                        self.initial_value)
-        if np.ndim(t) == 0:
-            return float(out)
-        return out
+        return float(out) if np.ndim(t) == 0 else out
 
     def breakpoints_in(self, a: float, b: float) -> np.ndarray:
         """Jump times strictly inside (a, b)."""

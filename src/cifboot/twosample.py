@@ -30,11 +30,12 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import CountingProcessPanel, DataError, check_count
-from .resampling import (BAYESIAN, EFRON, IID_WEIGHTED, WeightScheme, ZArray,
-                         build_z, draw_weights, row_chunks)
+from .resampling import (EFRON, WILD_NORMAL, WILD_POISSON, WeightScheme,
+                         ZArray, build_z, draw_weights, row_chunks)
 from .stepfun import CONSTANT_ONE, StepFunction
 
 _NORMAL = NormalDist()
+_BOOTSTRAP_KINDS = (EFRON, WILD_NORMAL, WILD_POISSON)
 
 
 class NumericalError(RuntimeError):
@@ -268,12 +269,23 @@ def _replicate_kernel(pooled: PreparedTest, wi, vi2, vi=None):
 @dataclass(frozen=True, eq=False)
 class ReplicateBlock:
     """Studentized bootstrap replicates of one scheme kind plus degeneracy
-    diagnostics."""
+    diagnostics: B >= 1 read-only replicates, at most B of each kind."""
 
     studentized: np.ndarray = field(repr=False)
     scheme: str
     degenerate: int = 0
     truncated: int = 0
+
+    def __post_init__(self):
+        stud = self.studentized
+        if not (isinstance(stud, np.ndarray) and stud.ndim == 1 and stud.size):
+            raise DataError("studentized must be a 1-d array of replicates")
+        if self.scheme not in _BOOTSTRAP_KINDS:
+            raise DataError(f"unknown bootstrap scheme {self.scheme!r}")
+        for name in ("degenerate", "truncated"):
+            if check_count(name, getattr(self, name), 0) > stud.size:
+                raise DataError(f"{name} must be <= B = {stud.size}")
+        stud.setflags(write=False)
 
 
 def replicate_block(pooled: PreparedTest, scheme: WeightScheme, B: int,
@@ -286,16 +298,17 @@ def replicate_block(pooled: PreparedTest, scheme: WeightScheme, B: int,
     correction term over m): L ~ Binomial(m, k/m) of a replicate's labels
     fall uniformly on the k entries, so all B hit counts are drawn, then
     each replicate's L labels, and T*, V* are sums of I and I^2 at them.
-    Wild schemes draw k iid multipliers (uncentered, v = G^2, no
-    correction).  Replicates whose variance is not positive get studentized
-    value 0 and are counted as degenerate; negative Efron variances are
-    clipped to 0 first and counted as truncated.
+    Wild schemes draw k iid multipliers G (uncentered, v = G^2, no
+    correction) and sum each row of G I and (G I)^2 by itself, so the
+    chunking moves no replicate.  Replicates whose variance is not positive
+    get studentized value 0 and are counted as degenerate; negative Efron
+    variances are clipped to 0 first and counted as truncated.
 
     The iid-weighted and Bayesian schemes are refused: Efron's V* needs
     v = w + 1 >= 0, which iid-weighted weights do not guarantee, and no
     size check covers a test under the Bayesian scheme.
     """
-    if scheme.kind in (IID_WEIGHTED, BAYESIAN):
+    if scheme.kind not in _BOOTSTRAP_KINDS:
         raise DataError("the two-sample bootstrap test supports the efron "
                         "and wild schemes only")
     B = check_count("B", B, 1)
@@ -324,10 +337,9 @@ def replicate_block(pooled: PreparedTest, scheme: WeightScheme, B: int,
     elif k:
         for sl, take in row_chunks(B, k):
             g = draw_weights(scheme, take, k, rng)
-            wi = g @ inz
-            np.square(g, out=g)
-            tstar[sl], vstar[sl], _ = _replicate_kernel(
-                pooled, wi, g @ (inz * inz))
+            wi = np.multiply(g, inz, out=g).sum(axis=1)
+            vi2 = np.square(g, out=g).sum(axis=1)
+            tstar[sl], vstar[sl], _ = _replicate_kernel(pooled, wi, vi2)
 
     positive = vstar > 0
     degenerate = int(B - np.count_nonzero(positive))

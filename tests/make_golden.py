@@ -1,15 +1,14 @@
 """Write the golden inputs and outputs that ``test_golden.py`` compares.
 
-Run from the root of a source checkout, at one BLAS thread:
+Run from the root of a source checkout:
 
-    OMP_NUM_THREADS=1 PYTHONPATH=src python tests/make_golden.py
+    PYTHONPATH=src python tests/make_golden.py
 
 It writes two left-truncated, censored, tied samples (``group1.csv``, 300
 rows; ``group2.csv``, 260 rows) under ``tests/golden/``, then runs each
 command of ``COMMANDS`` through ``cifboot.cli.main`` and keeps its outputs in
 a subdirectory named after it.  ``manifest.json`` holds timings, so it is not
-kept.  ``test --method wild`` is left out: its BLAS row sums can move in
-their last bits with the BLAS build and thread count.
+kept.
 
 The files are the standing byte-identity check of the commands' outputs.
 Regenerating them changes that check; say why wherever the change is
@@ -38,6 +37,7 @@ _WEIGHTS = ("validate-weights", "--m", "20", "--draws", "10000",
 COMMANDS = {
     "test-asymptotic": (*_TEST, "asymptotic"),
     "test-efron": (*_TEST, "efron"),
+    "test-wild": (*_TEST, "wild"),
     "estimate": ("estimate", "--input", GROUP1, "--horizon", "1.0",
                  "--seed", "2024"),
     "validate-weights-efron": (*_WEIGHTS, "efron"),

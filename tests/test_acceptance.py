@@ -7,7 +7,9 @@ the Monte Carlo criteria compare noisy reruns against fixed targets, so a
 handful of seeds were tried for each until the whole grid cleared its
 tolerance (the tolerances already budget for this seed-to-seed noise; no
 seed was selected against the null hypothesis of a correct implementation,
-only against bad Monte Carlo luck).
+only against bad Monte Carlo luck).  The tallies criteria 1, 2 and 7 give at
+those seeds are pinned as well, in ``pinned_tallies.json``: the tolerance
+checks hold the published rates, the pinned tallies the exact stream.
 
 Criterion 2's four Efron-weighted (phi_E) cells at (50,50) are the one
 place where the expected values are not the published ones.  Since the
@@ -24,6 +26,7 @@ them.  The evidence is in the criterion-2 docstring.
 import dataclasses
 import json
 import math
+import os
 import time
 from fractions import Fraction
 
@@ -112,6 +115,14 @@ WEIGHTED_COV = {(0.75, 0.75): 2.0 * ZETA[(0.75, 0.75)] - XI_075 * XI_075,
                 (1.5, 1.5): 2.0 * ZETA[(1.5, 1.5)] - XI_150 * XI_150}
 
 
+# each Monte Carlo criterion's tallies at its pinned seed, per cell keyed by
+# scenario id: rejection counts and error_count, and criterion 7's decision
+# disagreements.  A change to the draws or the decisions shows as a diff
+# of this file, which is a change to the check
+with open(os.path.join(os.path.dirname(__file__), "pinned_tallies.json")) as fh:
+    PINNED = json.load(fh)
+
+
 def _null_config(n1, n2, rates, n_sim, seed):
     return ScenarioConfig(model1=Group1Exp(), model2=ConstantPair(1.0),
                           n1=n1, n2=n2, censor_rates=rates,
@@ -119,11 +130,16 @@ def _null_config(n1, n2, rates, n_sim, seed):
 
 
 def _check_cells(configs_and_targets, tol, label):
+    """Tolerance failures, the worst deviation and each cell's tallies."""
     failures = []
     worst = 0.0
+    tallies = {}
     for config, targets in configs_and_targets:
         report = run_scenario(config)
+        tally = {"error_count": report.error_count}
+        tallies[config.scenario_id] = tally
         for method, target in zip(("phi_n", "phi_W", "phi_E"), targets):
+            tally[method] = report.count(method)
             got = report.rate(method)
             dev = abs(got - target)
             worst = max(worst, dev)
@@ -135,7 +151,7 @@ def _check_cells(configs_and_targets, tol, label):
                     f"cens={config.censor_rates} c={config.c_value} "
                     f"{method}: got {got:.3f} (SE {se:.4f}), want {target:.3f} "
                     f"(|dev| {dev:.3f} > {tol}, {units:.1f} SE)")
-    return failures, worst
+    return failures, worst, tallies
 
 
 def test_criterion_1_table1_sizes():
@@ -145,10 +161,11 @@ def test_criterion_1_table1_sizes():
                TABLE1_TARGETS[(n, m)][rates])
              for (n, m) in TABLE1_TARGETS
              for rates in TABLE1_TARGETS[(n, m)]]
-    failures, worst = _check_cells(cells, 0.02, "size")
+    failures, worst, tallies = _check_cells(cells, 0.02, "size")
     print(f"criterion 1: {'FAIL' if failures else 'PASS'} - 45 size "
           f"comparisons, worst |dev| {worst:.4f} (tol 0.02)")
     assert not failures, "\n".join(failures)
+    assert tallies == PINNED["criterion_1"]
 
 
 def test_criterion_1_smoke_suite():
@@ -160,13 +177,14 @@ def test_criterion_1_smoke_suite():
              for (n, m), rates in (((50, 50), (0.0, 0.0)),
                                    ((50, 100), (0.5, 1.0)),
                                    ((100, 100), (1.0, 1.0)))]
-    failures, worst = _check_cells(cells, 0.04, "smoke")
+    failures, worst, tallies = _check_cells(cells, 0.04, "smoke")
     elapsed = time.perf_counter() - started
     print(f"criterion 1 (smoke): {'FAIL' if failures else 'PASS'} - "
           f"9 comparisons, worst |dev| {worst:.4f} (tol 0.04), "
           f"{elapsed:.0f}s (limit 120s)")
     assert elapsed < 120.0, f"smoke suite took {elapsed:.0f}s"
     assert not failures, "\n".join(failures)
+    assert tallies == PINNED["criterion_1_smoke"]
 
 
 def test_criterion_2_table2_power():
@@ -236,10 +254,11 @@ def test_criterion_2_table2_power():
                                     n1=n1, n2=n2, censor_rates=rates,
                                     n_sim=1000, B=999, seed=seed)
             cells.append((config, targets))
-    failures, worst = _check_cells(cells, 0.04, "power")
+    failures, worst, tallies = _check_cells(cells, 0.04, "power")
     print(f"criterion 2: {'FAIL' if failures else 'PASS'} - 24 power "
           f"comparisons, worst |dev| {worst:.4f} (tol 0.04)")
     assert not failures, "\n".join(failures)
+    assert tallies == PINNED["criterion_2"]
 
 
 def test_criterion_3_exact_hand_oracles():
@@ -415,6 +434,7 @@ def test_criterion_7_null_pivotality():
           f"decision disagreement {rate:.3f} (tol 0.03)")
     assert ks <= 0.05, f"KS distance {ks:.4f}"
     assert rate <= 0.03, f"disagreement rate {rate:.3f}"
+    assert disagreements == PINNED["criterion_7"]["disagreements"]
 
 
 def test_criterion_8_property_suite(tmp_path):

@@ -1,7 +1,7 @@
-"""The BLAS-free commands reproduce the committed outputs byte for byte.
+"""The commands reproduce the committed outputs byte for byte.
 
 ``tests/golden/`` holds two left-truncated, censored, tied samples and the
-outputs of ``test`` (asymptotic and Efron), ``estimate``,
+outputs of ``test`` (asymptotic, Efron and wild), ``estimate``,
 ``validate-weights`` (Efron and wild-normal) and one table1 ``simulate``
 cell, written by ``make_golden.py``.  Each command runs here through
 ``main()`` and must give the same files, manifest.json aside (it holds

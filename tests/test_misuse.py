@@ -1,5 +1,6 @@
-"""Every bad count, seed or rate a caller can hand a public callable is a
-``DataError`` at the call, never a wrong answer or a numpy error later."""
+"""Every bad count, seed, rate or replicate block a caller can hand a public
+callable is a ``DataError`` at the call, never a wrong answer or a numpy
+error later."""
 
 import math
 
@@ -30,6 +31,11 @@ def _replicates(B):
                               np.random.default_rng(0))
 
 
+def _decide(studentized, scheme="efron", **counts):
+    return cb.verdict(_prepared(),
+                      cb.ReplicateBlock(np.array(studentized), scheme, **counts))
+
+
 def _draw_panel(rate, n=10):
     return cb.draw_panel(Group1Exp(), n, rate, np.random.default_rng(0))
 
@@ -50,6 +56,14 @@ MISUSE = [
      "B must be >= 1, got -3"),
     ("replicate_block-B=2.5", lambda: _replicates(2.5),
      "B must be an integer"),
+    ("ReplicateBlock-degenerate=5", lambda: _decide([0.1, 5.0], degenerate=5),
+     "degenerate must be <= B = 2"),
+    ("ReplicateBlock-truncated=-4", lambda: _decide([0.1, 5.0], truncated=-4),
+     "truncated must be >= 0, got -4"),
+    ("ReplicateBlock-scheme", lambda: _decide([0.1, 5.0], "nonsense"),
+     "unknown bootstrap scheme 'nonsense'"),
+    ("ReplicateBlock-empty", lambda: _decide([]),
+     "studentized must be a 1-d array of replicates"),
     ("run_scenario-workers=1.5", lambda: cb.run_scenario(_scenario(), 1.5),
      "workers must be an integer"),
     ("validate_weight_conditions-m=4.5",

@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 import cifboot as cb
 from cifboot import resampling, twosample
 from cifboot.resampling import (BAYESIAN, EFRON, WILD_NORMAL, WILD_POISSON,
-                                build_z, draw_weights)
+                                build_z)
 
 from cifboot.simulation import ConstantPair, Group1Exp, draw_panel
 
@@ -399,43 +399,22 @@ def test_replicate_block_default_chunks_match_one_chunk(monkeypatch):
     B, m = 199, pooled.size
     k = int(np.count_nonzero(pooled.integrals))
     assert k * B > 2 * resampling._CHUNK_ELEMS
-    # Efron rows are reduced one by one: bit for bit at any chunking
-    efron = cb.WeightScheme(EFRON)
-    chunked = twosample.replicate_block(pooled, efron, B, np.random.default_rng(8))
-    _one_chunk(monkeypatch, B, m)
-    whole = twosample.replicate_block(pooled, efron, B, np.random.default_rng(8))
-    monkeypatch.undo()
-    np.testing.assert_array_equal(chunked.studentized, whole.studentized)
-    assert (chunked.degenerate, chunked.truncated) == (whole.degenerate, whole.truncated)
-
-    # wild: the same multipliers and the same generator state at the end;
-    # BLAS row sums may differ in their last bits with the chunk's row count
-    def run(one_chunk):
+    # every replicate is reduced by itself: bit for bit at any chunking,
+    # from one row per chunk to the default chunks and one chunk
+    budgets = (1 << 8, 1 << 12, resampling._CHUNK_ELEMS, B * m + 1)
+    for kind in (EFRON, WILD_NORMAL, WILD_POISSON):
         blocks = []
-
-        def spy(scheme, rows, width, rng):
-            blocks.append(draw_weights(scheme, rows, width, rng))
-            return blocks[-1].copy()  # replicate_block squares it in place
-
-        monkeypatch.setattr(twosample, "draw_weights", spy)
-        if one_chunk:
-            _one_chunk(monkeypatch, B, m)
-        rng = np.random.default_rng(9)
-        block = twosample.replicate_block(pooled, cb.WeightScheme(WILD_NORMAL),
-                                          B, rng)
-        monkeypatch.undo()
-        return block, blocks, rng.bit_generator.state
-
-    chunked, chunked_g, chunked_state = run(False)
-    whole, whole_g, whole_state = run(True)
-    assert len(chunked_g) > 2 and len(whole_g) == 1
-    np.testing.assert_array_equal(np.concatenate(chunked_g), whole_g[0])
-    assert chunked_state == whole_state
-    # relative to the largest replicate: a row sum that cancels to near 0
-    # has no relative precision of its own
-    np.testing.assert_allclose(chunked.studentized, whole.studentized, rtol=1e-12,
-                               atol=1e-12 * np.abs(whole.studentized).max())
-    assert chunked.degenerate == whole.degenerate
+        for budget in budgets:
+            monkeypatch.setattr(resampling, "_CHUNK_ELEMS", budget)
+            blocks.append(twosample.replicate_block(
+                pooled, cb.WeightScheme(kind), B, np.random.default_rng(8)))
+            monkeypatch.undo()
+        whole = blocks[-1]
+        for budget, block in zip(budgets, blocks[:-1]):
+            np.testing.assert_array_equal(block.studentized, whole.studentized,
+                                          err_msg=f"{kind} at {budget}")
+            assert ((block.degenerate, block.truncated)
+                    == (whole.degenerate, whole.truncated)), (kind, budget)
 
 
 def test_validate_weights_default_chunks_match_one_chunk(monkeypatch):
