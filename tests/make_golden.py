@@ -38,6 +38,9 @@ COMMANDS = {
     "test-asymptotic": (*_TEST, "asymptotic"),
     "test-efron": (*_TEST, "efron"),
     "test-wild": (*_TEST, "wild"),
+    # both window clamps and a rho breakpoint between grid times
+    "test-window": (*_TEST, "efron", "--t1", "0.2", "--t2", "50",
+                    "--rho", "0:1,0.755:2"),
     "estimate": ("estimate", "--input", GROUP1, "--horizon", "1.0",
                  "--seed", "2024"),
     "validate-weights-efron": (*_WEIGHTS, "efron"),
