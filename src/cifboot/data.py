@@ -141,18 +141,17 @@ def compile_panel_arrays(entry: np.ndarray, exit_: np.ndarray,
         raise DataError(f"row {bad[0]}: {bad[1]}")
     status = status.astype(np.int64)
 
-    times, inverse = np.unique(exit_, return_inverse=True)
-    m = times.shape[0]
-    d1 = np.bincount(inverse[status == Status.CAUSE1], minlength=m)
-    d2 = np.bincount(inverse[status == Status.CAUSE2], minlength=m)
-    d0 = np.bincount(inverse[status == Status.CENSORED], minlength=m)
+    times, inverse, exits = np.unique(exit_, return_inverse=True,
+                                      return_counts=True)
+    # one count per (grid time, status code) pair, codes in Status order
+    d0, d1, d2 = np.bincount(3 * inverse + status,
+                             minlength=3 * times.shape[0]).reshape(-1, 3).T
 
     entries_sorted = np.sort(entry)
-    exits_sorted = np.sort(exit_)
     # Y(t) = #{entry < t} - #{exit < t}; exits after entries, so the
     # difference counts exactly the subjects with entry < t <= exit.
     at_risk = (np.searchsorted(entries_sorted, times, side="left")
-               - np.searchsorted(exits_sorted, times, side="left"))
+               - (np.cumsum(exits) - exits))
 
     jumps = np.full((n, 2), -1, dtype=np.int64)
     is_event = status > 0
@@ -306,6 +305,8 @@ def ingest_csv(path, *, entry_col: str = "entry", exit_col: str = "exit",
 _WALK_ONLY = "\x00\x1c\x1d\x1e\x1f"
 # the one status format a file may use: the codes "0", "1" and "2"
 _STATUS_CODES = {str(int(code)): code for code in Status}
+# the codes' fields as the C parse holds them, in Status order
+_STATUS_KEYS = np.array(list(_STATUS_CODES), dtype="U2").view(np.uint64)
 
 
 def _parse_rows(stream, roles: dict[str, int]) -> Sample | None:
@@ -327,14 +328,20 @@ def _parse_rows(stream, roles: dict[str, int]) -> Sample | None:
                               usecols=list(roles.values()), ndmin=1)
         except ValueError:
             return None
-    status = np.full(len(rows), -1, dtype=np.int64)
-    for code, value in _STATUS_CODES.items():
-        status[rows["status"] == code] = value
+    status = _status_codes(rows["status"])
     exit_ = rows["exit"].copy()
     entry = rows["entry"].copy() if "entry" in roles else np.zeros(len(rows))
     if _first_bad_row(entry, exit_, status) is not None:
         return None
     return Sample(entry, exit_, status)
+
+
+def _status_codes(fields: np.ndarray) -> np.ndarray:
+    """The code of each "U2" status field, -1 where none matches; a field
+    equals a code exactly when its 8 bytes do (numpy pads it with NULs)."""
+    keys = np.ascontiguousarray(fields).view(np.uint64)
+    is0, is1, is2 = (keys == key for key in _STATUS_KEYS)
+    return is1 + 2 * is2 - ~(is0 | is1 | is2)
 
 
 def _walk_rows(reader, roles: dict[str, int]) -> Sample:

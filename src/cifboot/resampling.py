@@ -124,27 +124,45 @@ class ZArray:
     """Sparse per-entry jump data for the pooled one-sample Z functions.
 
     Entry i < n is subject i's cause-1 contribution, entry n + i the cause-2
-    one.  An active entry holds its jump time u, the at-risk count Y(u) and
-    the left-limit factor (S2(u-) for cause 1, F1(u-) for cause 2); entry
-    value at s is (factor - F1(s)) / Y(u) once u <= s.  An entry whose cause
-    the subject did not fail from (including both of a censored subject's)
-    is inactive, (+inf, 1.0, 0.0), so it is identically zero.  ``tab`` holds
-    the panel's plug-in tables the entries were read from.
+    one.  ``index`` is each entry's position on the grid of ``tab``, the
+    panel's plug-in tables, where it reads its jump time u, the at-risk
+    count Y(u) and the left-limit factor (S2(u-) for cause 1, F1(u-) for
+    cause 2); entry value at s is (factor - F1(s)) / Y(u) once u <= s.  An
+    entry whose cause the subject did not fail from (including both of a
+    censored subject's) is inactive: its index ``tab.times.size`` reads
+    (+inf, 1.0, 0.0), so it is identically zero.
     """
 
     n: int
-    jump_time: np.ndarray = field(repr=False)
-    at_risk: np.ndarray = field(repr=False)
-    factor: np.ndarray = field(repr=False)
+    index: np.ndarray = field(repr=False)
     tab: PluginTables = field(repr=False)
 
     def __post_init__(self):
-        for arr in (self.jump_time, self.at_risk, self.factor):
-            arr.setflags(write=False)
+        self.index.setflags(write=False)
 
     @property
     def size(self) -> int:
         return 2 * self.n
+
+    def gather(self, cause1: np.ndarray, cause2: np.ndarray,
+               inactive: float) -> np.ndarray:
+        """Per-grid-time values read into the entries, cause-1 entries from
+        ``cause1`` and cause-2 ones from ``cause2``; inactive ones read
+        ``inactive``."""
+        return np.concatenate((np.append(cause1, inactive)[self.index[:self.n]],
+                               np.append(cause2, inactive)[self.index[self.n:]]))
+
+    @property
+    def jump_time(self) -> np.ndarray:
+        return self.gather(self.tab.times, self.tab.times, np.inf)
+
+    @property
+    def at_risk(self) -> np.ndarray:
+        return self.gather(self.tab.at_risk, self.tab.at_risk, 1.0)
+
+    @property
+    def factor(self) -> np.ndarray:
+        return self.gather(self.tab.s2_left, self.tab.f1_left, 0.0)
 
     def evaluate(self, grid) -> np.ndarray:
         """The (2n, G) matrix E of entry values on a grid of G times, column
@@ -157,17 +175,11 @@ class ZArray:
 
 def build_z(panel: CountingProcessPanel) -> ZArray:
     """Assemble the 2n-entry Z array of a panel from one plug-in pass."""
-    tab = plugin_tables(panel)
-    safe = np.clip(panel.subject_jumps[:, 0], 0, None)
-    is1, is2 = (panel.subject_jumps[:, 1] == cause for cause in (1, 2))
-
-    def slots(cause1, cause2, inactive):
-        return np.concatenate((np.where(is1, cause1, inactive),
-                               np.where(is2, cause2, inactive)))
-
-    u, y = tab.times[safe], tab.at_risk[safe]
-    return ZArray(panel.n, slots(u, u, np.inf), slots(y, y, 1.0),
-                  slots(tab.s2_left[safe], tab.f1_left[safe], 0.0), tab)
+    pos, cause = panel.subject_jumps.T
+    inactive = panel.times.size
+    return ZArray(panel.n, np.concatenate((np.where(cause == 1, pos, inactive),
+                                           np.where(cause == 2, pos, inactive))),
+                  plugin_tables(panel))
 
 
 def wild_process(z: ZArray, multipliers: np.ndarray, grid) -> np.ndarray:

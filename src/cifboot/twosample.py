@@ -197,9 +197,11 @@ def _group_integrals(z: ZArray, t1: float, t2: float, rho: StepFunction,
         I = (factor * R(x) - P(x)) / Y(u),   x = max(u, t1),
 
     with R and P the tail integrals of rho and rho * F1, both suffix sums
-    over the group's breakpoint grid.  Jumps at or beyond t2 land on the
-    grid's last point, where both tails are exactly zero.  The window
-    integral P(t1) is summed pairwise, not read off the suffix sum.
+    over the group's breakpoint grid, formed once per grid time u and read
+    into the entries through their grid index.  Jumps at or beyond t2 land
+    on the breakpoint grid's last point, where both tails are exactly zero.
+    The window integral P(t1) is summed pairwise, not read off the suffix
+    sum.
     """
     tab = z.tab
     event_times = tab.times[(tab.d1 + tab.d2) > 0]
@@ -212,11 +214,13 @@ def _group_integrals(z: ZArray, t1: float, t2: float, rho: StepFunction,
     tail_rho = np.concatenate((np.cumsum((rho_v * dt)[::-1])[::-1], [0.0]))
     tail_rho_f1 = np.concatenate((np.cumsum(rho_f1_dt[::-1])[::-1], [0.0]))
 
-    # active jump times are grid members by construction, so searchsorted
-    # lands exactly on them; inactive (+inf) and out-of-window entries clamp
-    # to t2 where the tails vanish, and their factor is 0
-    pos = np.searchsorted(pts, np.minimum(np.maximum(z.jump_time, t1), t2))
-    return (sign * ((z.factor * tail_rho[pos] - tail_rho_f1[pos]) / z.at_risk),
+    # event times inside the window are breakpoints, so searchsorted lands
+    # on them; the rest clamp to t1 or to t2 (no entry reads a time without
+    # an event)
+    pos = np.searchsorted(pts, np.clip(tab.times, t1, t2))
+    r, p = tail_rho[pos], tail_rho_f1[pos]
+    return (sign * z.gather((tab.s2_left * r - p) / tab.at_risk,
+                            (tab.f1_left * r - p) / tab.at_risk, 0.0),
             float(np.sum(rho_f1_dt)))
 
 
@@ -269,7 +273,7 @@ def _replicate_kernel(pooled: PreparedTest, wi, vi2, vi=None):
 @dataclass(frozen=True, eq=False)
 class ReplicateBlock:
     """Studentized bootstrap replicates of one scheme kind plus degeneracy
-    diagnostics: B >= 1 read-only replicates, at most B of each kind."""
+    diagnostics: B >= 1 finite read-only replicates, at most B of each kind."""
 
     studentized: np.ndarray = field(repr=False)
     scheme: str
@@ -280,6 +284,8 @@ class ReplicateBlock:
         stud = self.studentized
         if not (isinstance(stud, np.ndarray) and stud.ndim == 1 and stud.size):
             raise DataError("studentized must be a 1-d array of replicates")
+        if not np.all(np.isfinite(stud)):
+            raise DataError("studentized replicates must be finite")
         if self.scheme not in _BOOTSTRAP_KINDS:
             raise DataError(f"unknown bootstrap scheme {self.scheme!r}")
         for name in ("degenerate", "truncated"):

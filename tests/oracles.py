@@ -364,6 +364,60 @@ def bootstrap_variance(prep, v_weights, *, include_xi: bool = True) -> float:
 
 
 # ---------------------------------------------------------------------------
+# per-entry searches, frozen as the package computed panels and window
+# integrals before it read each entry through its grid index; the same
+# floating-point operations, so the package must match them bit for bit
+
+def searched_panel_counts(entry, exit_, status):
+    """(times, d0, d1, d2, at_risk) of a checked sample: one masked bincount
+    per status code, and Y(t) = #{entry < t} - #{exit < t} searched in the
+    sorted entries and the sorted exits."""
+    times, inverse = np.unique(exit_, return_inverse=True)
+    d0, d1, d2 = (np.bincount(inverse[status == code], minlength=times.size)
+                  for code in (0, 1, 2))
+    at_risk = (np.searchsorted(np.sort(entry), times, side="left")
+               - np.searchsorted(np.sort(exit_), times, side="left"))
+    return times, d0, d1, d2, at_risk
+
+
+def searched_entry_integrals(tab, subject_jumps, t1, t2, rho, rho_breaks,
+                             sign):
+    """One group's signed per-entry window integrals, each entry's jump time
+    clamped to [t1, t2] and searched on the window's breakpoint grid.
+
+    ``tab`` has the plug-in arrays ``times``, ``at_risk``, ``d1``, ``d2``,
+    ``f1``, ``f1_left`` and ``s2_left``; ``subject_jumps`` is the (n, 2)
+    array of (grid index, cause), (-1, 0) when censored; ``rho`` maps an
+    array of times to weights and ``rho_breaks`` are its jump times inside
+    (t1, t2).  Entries are cause-1 slots, then cause-2 slots; an inactive
+    entry has jump time +inf, at-risk 1 and factor 0.
+    """
+    safe = np.clip(subject_jumps[:, 0], 0, None)
+    is1, is2 = subject_jumps[:, 1] == 1, subject_jumps[:, 1] == 2
+
+    def slots(cause1, cause2, inactive):
+        return np.concatenate((np.where(is1, cause1, inactive),
+                               np.where(is2, cause2, inactive)))
+
+    u, y = tab.times[safe], tab.at_risk[safe]
+    jump_time, at_risk = slots(u, u, np.inf), slots(y, y, 1.0)
+    factor = slots(tab.s2_left[safe], tab.f1_left[safe], 0.0)
+
+    event_times = tab.times[(tab.d1 + tab.d2) > 0]
+    inner = event_times[(event_times > t1) & (event_times < t2)]
+    pts = np.unique(np.concatenate((np.array([t1, t2]), inner, rho_breaks)))
+    dt = np.diff(pts)
+    rho_v = np.asarray(rho(pts[:-1]), dtype=float)
+    f1_at = np.concatenate(([0.0], tab.f1))[
+        np.searchsorted(tab.times, pts[:-1], side="right")]
+    rho_f1_dt = rho_v * f1_at * dt
+    tail_rho = np.concatenate((np.cumsum((rho_v * dt)[::-1])[::-1], [0.0]))
+    tail_rho_f1 = np.concatenate((np.cumsum(rho_f1_dt[::-1])[::-1], [0.0]))
+    pos = np.searchsorted(pts, np.minimum(np.maximum(jump_time, t1), t2))
+    return sign * ((factor * tail_rho[pos] - tail_rho_f1[pos]) / at_risk)
+
+
+# ---------------------------------------------------------------------------
 # reference CSV reader: the csv-module row walk, frozen as the package read
 # files before its rows went through one C-level parse
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cifboot as cb
+from cifboot.data import _status_codes
 
 import oracles
 from conftest import build_panel, subjects
@@ -112,6 +113,19 @@ def test_compilation_is_permutation_invariant(subs):
     shuffled = build_panel(subs[::-1])
     for name in ("times", "at_risk", "d1", "d2", "d0", "entries"):
         np.testing.assert_array_equal(getattr(panel, name), getattr(shuffled, name))
+
+
+@given(subjects(n_min=1, n_max=12, truncated=True))
+def test_counts_match_the_sort_and_search_definitions(subs):
+    entry = np.array([a / 2 for a, _, _ in subs])
+    exit_ = np.array([b / 2 for _, b, _ in subs])
+    status = np.array([s for _, _, s in subs])
+    panel = cb.compile_panel_arrays(entry, exit_, status)
+    want = oracles.searched_panel_counts(entry, exit_, status)
+    for name, value in zip(("times", "d0", "d1", "d2", "at_risk"), want):
+        got = getattr(panel, name)
+        np.testing.assert_array_equal(got, value)
+        assert got.dtype == value.dtype, name
 
 
 @given(subjects(n_min=2, n_max=10, truncated=True))
@@ -455,3 +469,19 @@ def test_ingest_csv_matches_the_csv_walk(tmp_path, data):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     else:
         assert isinstance(want[0], str) and got == want
+
+
+def test_status_bytes_match_the_string_compare():
+    # every 1- and 2-character field over these characters, read as the C
+    # parse hands them over: the "U2" column of a structured row array
+    chars = '012+-." '
+    texts = [a + b for a in chars for b in ("",) + tuple(chars)]
+    rows = np.zeros(len(texts), dtype=[("exit", "f8"), ("status", "U2")])
+    rows["status"] = texts
+    want = np.full(len(texts), -1, dtype=np.int64)
+    for code in (0, 1, 2):
+        want[rows["status"] == str(code)] = code
+    assert np.count_nonzero(want >= 0) == 3
+    got = _status_codes(rows["status"])
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)

@@ -1,7 +1,8 @@
 """The commands reproduce the committed outputs byte for byte.
 
 ``tests/golden/`` holds two left-truncated, censored, tied samples and the
-outputs of ``test`` (asymptotic, Efron and wild), ``estimate``,
+outputs of ``test`` (asymptotic, Efron and wild, and Efron on a truncated
+window with an off-grid rho breakpoint), ``estimate``,
 ``validate-weights`` (Efron and wild-normal) and one table1 ``simulate``
 cell, written by ``make_golden.py``.  Each command runs here through
 ``main()`` and must give the same files, manifest.json aside (it holds

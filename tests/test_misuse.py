@@ -64,6 +64,10 @@ MISUSE = [
      "unknown bootstrap scheme 'nonsense'"),
     ("ReplicateBlock-empty", lambda: _decide([]),
      "studentized must be a 1-d array of replicates"),
+    ("ReplicateBlock-nan", lambda: _decide([math.nan] * 19),
+     "studentized replicates must be finite"),
+    ("ReplicateBlock-inf", lambda: _decide([math.inf] * 19),
+     "studentized replicates must be finite"),
     ("run_scenario-workers=1.5", lambda: cb.run_scenario(_scenario(), 1.5),
      "workers must be an integer"),
     ("validate_weight_conditions-m=4.5",

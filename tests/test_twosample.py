@@ -168,6 +168,31 @@ def test_entry_integrals_match_exact_rational_route(sub1, sub2, win, rho_steps):
     np.testing.assert_allclose(pooled.integrals, want, rtol=1e-12, atol=1e-14)
 
 
+@settings(max_examples=150, deadline=None)
+@given(subjects(n_min=2, n_max=8, truncated=True),
+       subjects(n_min=2, n_max=8, truncated=True),
+       st.integers(0, 12), st.sampled_from([2.0, 3.5, 6.0, 100.0]),
+       st.lists(st.tuples(st.integers(1, 26), st.integers(1, 4)), max_size=3,
+                unique_by=lambda tv: tv[0]).map(sorted))
+def test_entry_integrals_match_the_per_entry_search(sub1, sub2, t1_quarters,
+                                                     t2, rho_steps):
+    # t1 and the rho breakpoints in quarters: odd ones fall between the
+    # half-grid times; t2 = 100 lies past every exit
+    p1, p2 = build_panel(sub1), build_panel(sub2)
+    t1 = t1_quarters / 4
+    assume(min(t2, p1.last_time, p2.last_time) > t1)
+    rho = cb.StepFunction(np.array([t / 4 for t, _ in rho_steps]),
+                          np.array([v / 2 for _, v in rho_steps]), 1.0)
+    prep = twosample.prepare_test(p1, p2, cb.TestConfig(t1=t1, t2=t2, rho=rho))
+    want = np.concatenate([
+        oracles.searched_entry_integrals(
+            cb.plugin_tables(p), p.subject_jumps, t1, prep.t2, rho,
+            rho.breakpoints_in(t1, prep.t2), sign)
+        for p, sign in ((p1, 1.0), (p2, -1.0))])
+    np.testing.assert_array_equal(prep.integrals, want)
+    np.testing.assert_array_equal(np.signbit(prep.integrals), np.signbit(want))
+
+
 @settings(max_examples=80, deadline=None)
 @given(event_subjects(n_min=2, n_max=6), event_subjects(n_min=2, n_max=6),
        window_st, rho_st)
