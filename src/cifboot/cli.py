@@ -421,7 +421,9 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, listed in the help; only ``command``
+    gets its options when given (the others would go unused)."""
     parser = argparse.ArgumentParser(
         prog="cifboot",
         description="Cumulative incidence estimation, resampling-based "
@@ -429,8 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, text, keys) in _COMMANDS.items():
-        cmd = sub.add_parser(command, help=text)
+    for name, (_, text, keys) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=text)
+        if command not in (None, name):
+            continue
         cmd.add_argument("--config", help="flat key=value config file")
         for key in keys:
             cast, default, help_ = _OPTIONS[key]
@@ -447,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     handler, _, keys = _COMMANDS[args.command]
     started = time.perf_counter()
     try:

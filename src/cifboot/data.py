@@ -153,10 +153,9 @@ def compile_panel_arrays(entry: np.ndarray, exit_: np.ndarray,
     at_risk = (np.searchsorted(entries_sorted, times, side="left")
                - (np.cumsum(exits) - exits))
 
-    jumps = np.full((n, 2), -1, dtype=np.int64)
-    is_event = status > 0
-    jumps[is_event, 0] = inverse[is_event]
-    jumps[:, 1] = np.where(is_event, status, 0)
+    jumps = np.empty((n, 2), dtype=np.int64)
+    jumps[:, 0] = np.where(status > 0, inverse, -1)
+    jumps[:, 1] = status
 
     return CountingProcessPanel(
         times=times,
@@ -291,27 +290,31 @@ def ingest_csv(path, *, entry_col: str = "entry", exit_col: str = "exit",
                                                 ("status", status_col))
              if name in col}
 
-    body = stream.tell()
-    if not any(c in text for c in _WALK_ONLY):
-        sample = _parse_rows(stream, roles)
+    walk_only = _WALK_ONLY if text.isascii() else _WALK_ONLY + _WALK_ONLY_WIDE
+    if not any(c in text for c in walk_only):
+        # numpy iterates a list of lines faster than a stream's readline
+        sample = _parse_rows(text[stream.tell():].splitlines(keepends=True),
+                             roles)
         if sample is not None:
             return sample
-        stream.seek(body)
     return _walk_rows(reader, roles)
 
 
-# numpy strings drop trailing NULs, and numpy's C float parser skips
-# \x1c-\x1f as blanks where float() refuses them: only the walk reads these
-_WALK_ONLY = "\x00\x1c\x1d\x1e\x1f"
+# numpy strings drop trailing NULs, numpy's C float parser skips \x1c-\x1f
+# as blanks where float() refuses them, and str.splitlines ends a line at
+# \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029 where the csv module does not:
+# only the walk reads these
+_WALK_ONLY = "\x00\x1c\x1d\x1e\x1f\v\f"
+_WALK_ONLY_WIDE = "\x85\u2028\u2029"
 # the one status format a file may use: the codes "0", "1" and "2"
 _STATUS_CODES = {str(int(code)): code for code in Status}
 # the codes' fields as the C parse holds them, in Status order
 _STATUS_KEYS = np.array(list(_STATUS_CODES), dtype="U2").view(np.uint64)
 
 
-def _parse_rows(stream, roles: dict[str, int]) -> Sample | None:
-    """The rows after the header from one ``np.loadtxt`` call, or None where
-    the parse or a row check fails.
+def _parse_rows(lines: list[str], roles: dict[str, int]) -> Sample | None:
+    """The rows of the body ``lines`` from one ``np.loadtxt`` call, or None
+    where the parse or a row check fails.
 
     Status fields are read two characters wide, one more than a code, so a
     longer field is cut to a string that matches no code.  A field matches
@@ -323,7 +326,7 @@ def _parse_rows(stream, roles: dict[str, int]) -> Sample | None:
         # a body without rows warns; the walk accepts it silently
         warnings.simplefilter("ignore", UserWarning)
         try:
-            rows = np.loadtxt(stream, dtype=dtype, comments=None,
+            rows = np.loadtxt(lines, dtype=dtype, comments=None,
                               delimiter=",", quotechar='"',
                               usecols=list(roles.values()), ndmin=1)
         except ValueError:

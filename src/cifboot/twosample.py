@@ -204,20 +204,34 @@ def _group_integrals(z: ZArray, t1: float, t2: float, rho: StepFunction,
     sum.
     """
     tab = z.tab
-    event_times = tab.times[(tab.d1 + tab.d2) > 0]
-    inner = event_times[(event_times > t1) & (event_times < t2)]
-    pts = np.unique(np.concatenate((
-        np.array([t1, t2]), inner, rho.breakpoints_in(t1, t2))))
+    times = tab.times
+    # grid indices [0, a) lie at or before t1, [b, end) at or after t2
+    a, b = times.searchsorted(t1, "right"), times.searchsorted(t2)
+    events = np.flatnonzero((tab.d1 + tab.d2) > 0)
+    inner = events[events.searchsorted(a):events.searchsorted(b)]
+    extra = np.concatenate(([t1, t2], rho.breakpoints_in(t1, t2)))
+    # pts are the distinct merged times and ``where`` each merged time's
+    # position on them, so a rho breakpoint at an event time shares its
+    # position; a stable sort merges the few sorted runs in linear time
+    merged = np.concatenate((times[inner], extra))
+    order = merged.argsort(kind="stable")
+    merged = merged[order]
+    new = np.concatenate(([True], merged[1:] != merged[:-1]))
+    pts = merged[new]
+    where = np.empty(order.size, dtype=np.intp)
+    where[order] = np.cumsum(new) - 1
+    f1 = np.empty(pts.size)
+    f1[where] = np.concatenate((tab.f1[inner], tab.f1_at(extra)))
     dt = np.diff(pts)
     rho_v = np.asarray(rho(pts[:-1]), dtype=float)
-    rho_f1_dt = rho_v * tab.f1_at(pts[:-1]) * dt
+    rho_f1_dt = rho_v * f1[:-1] * dt
     tail_rho = np.concatenate((np.cumsum((rho_v * dt)[::-1])[::-1], [0.0]))
     tail_rho_f1 = np.concatenate((np.cumsum(rho_f1_dt[::-1])[::-1], [0.0]))
 
-    # event times inside the window are breakpoints, so searchsorted lands
-    # on them; the rest clamp to t1 or to t2 (no entry reads a time without
-    # an event)
-    pos = np.searchsorted(pts, np.clip(tab.times, t1, t2))
+    # no entry reads a grid time without an event, so those read position 0
+    pos = np.zeros(times.size, dtype=np.intp)
+    pos[inner] = where[:inner.size]
+    pos[b:] = pts.size - 1
     r, p = tail_rho[pos], tail_rho_f1[pos]
     return (sign * z.gather((tab.s2_left * r - p) / tab.at_risk,
                             (tab.f1_left * r - p) / tab.at_risk, 0.0),
@@ -389,7 +403,8 @@ def verdict(prep: PreparedTest,
     if block is None:
         method = "asymptotic"
         crit = _NORMAL.inv_cdf(1.0 - alpha)
-        p_value = 1.0 - _NORMAL.cdf(stud)
+        # the upper tail itself: 1 - Phi(x) is exactly 0 for x above ~8.3
+        p_value = 0.5 * math.erfc(stud / math.sqrt(2.0))
     else:
         B = block.studentized.size
         if block.degenerate == B:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import cifboot as cb
-from cifboot.cli import (format_float, load_config, main, parse_rho,
-                         render_json)
+from cifboot.cli import (_COMMANDS, build_parser, format_float, load_config,
+                         main, parse_rho, render_json)
 
 HAND_CSV = "entry,exit,status\n0,1,1\n0,2,2\n0,3,1\n"
 GROUP2_CSV = "entry,exit,status\n0,1.5,2\n0,2.5,1\n0,4,0\n"
@@ -589,6 +589,42 @@ def test_cli_version():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _help(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_one_command_parser_gives_that_command_the_full_help(command, capsys):
+    # main builds only the named command's options; its help is unchanged
+    full = _help(build_parser(), [command, "--help"], capsys)
+    assert _help(build_parser(command), [command, "--help"], capsys) == full
+    assert "--config" in full
+
+
+def test_top_level_help_lists_every_command(capsys):
+    text = _help(build_parser("--help"), ["--help"], capsys)
+    assert text == _help(build_parser(), ["--help"], capsys)
+    assert all(command in text for command in _COMMANDS)
+
+
+def test_main_reads_sys_argv_without_an_argv(tmp_path, monkeypatch, capsys):
+    # the installed cifboot script calls main() with no arguments
+    g1, _ = write_samples(tmp_path)
+    out = tmp_path / "res"
+    monkeypatch.setattr("sys.argv", ["cifboot", "estimate", "--input", g1,
+                                     "--seed", "1", "--out", str(out)])
+    assert main() == 0
+    assert (out / "km.csv").exists()
+    monkeypatch.setattr("sys.argv", ["cifboot", "bogus"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_cli_fresh_seed_recorded(tmp_path):

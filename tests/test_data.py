@@ -395,9 +395,13 @@ def test_ingest_csv_compiles_like_arrays(tmp_path, scale, data):
 
 _TIME_ODDITIES = ["1_000", "nan", "inf", "-inf", "1e400", " 1.5", "1.5 ",
                   '"1.5"', '"1""5"', '1"5"', "x", "", "-0", "1e-320", "+2",
-                  "\uff11", "\x1c1", "1\x1f", "1\x00", '"2\n"']
+                  "\uff11", "\x1c1", "1\x1f", "1\x00", '"2\n"', "1\v", "\f1",
+                  "1\x85", "\u20281", "1\u2029"]
 _CODE_ODDITIES = ["{}2", " {}", "{} ", '"{}"', '"{}\r\n"', '{}""', '"a""b"',
-                  "", "{}\x00", "\x1c{}"]
+                  "", "{}\x00", "\x1c{}", "{}\v", "\f{}", "\x85{}", "{}\u2028",
+                  "\u2029{}"]
+# line ends of str.splitlines that the csv module reads as field text
+_END_ODDITIES = ["\v", "\f", "\x85", "\u2028", "\u2029"]
 
 
 @st.composite
@@ -405,8 +409,9 @@ def messy_csv(draw):
     """CSV text on which a C-level parse and the csv module might differ:
     quoting, blank and whitespace-only lines, mixed line ends, short and
     long rows, a byte-order mark, codes and fields that extend a code, and
-    numbers only Python's float() reads.  At most one field per file is
-    odd, so that the rest of the file does not hide how it is read."""
+    numbers only Python's float() reads.  At most one field and one line
+    end per file are odd, so that the rest of the file does not hide how
+    it is read."""
     codes = ("0", "1", "2")
     cols = draw(st.permutations(["entry", "exit", "status", "note"]))
     cols = [c for c in cols if c != "entry" or draw(st.booleans())]
@@ -434,6 +439,9 @@ def messy_csv(draw):
         row = {2: row[:-1], 3: row + ["extra"]}.get(fault, row)
         lines.append(",".join(row))
     ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    odd_end = draw(st.integers(0, 2 * len(lines)))  # past the last: none
+    if odd_end < len(lines):
+        ends[odd_end] = draw(st.sampled_from(_END_ODDITIES))
     text = "".join(line + end for line, end in zip(lines, ends))
     if draw(st.booleans()):
         text = text.removesuffix(ends[-1])

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import cifboot as cb
 from cifboot import resampling, twosample
@@ -168,12 +168,27 @@ def test_entry_integrals_match_exact_rational_route(sub1, sub2, win, rho_steps):
     np.testing.assert_allclose(pooled.integrals, want, rtol=1e-12, atol=1e-14)
 
 
+# events at 1, 2, 2.5 and 3 with a censoring at 1.5, to 3; the longer group
+# has events at 1.5, 2.5 and 3.5, to 4; both have a left-truncated subject
+_COINCIDENT = [(0, 2, 1), (1, 4, 2), (0, 3, 0), (0, 6, 1), (0, 5, 2)]
+_LONGER = [(0, 3, 1), (2, 5, 2), (0, 8, 0), (1, 7, 1)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(subjects(n_min=2, n_max=8, truncated=True),
        subjects(n_min=2, n_max=8, truncated=True),
        st.integers(0, 12), st.sampled_from([2.0, 3.5, 6.0, 100.0]),
        st.lists(st.tuples(st.integers(1, 26), st.integers(1, 4)), max_size=3,
                 unique_by=lambda tv: tv[0]).map(sorted))
+# a rho breakpoint at an event time, and one between grid times
+@example(_COINCIDENT, _LONGER, 0, 6.0, [(4, 3), (7, 2)])
+# t1 at an event time, with a rho breakpoint at the next event
+@example(_COINCIDENT, _LONGER, 4, 6.0, [(8, 2)])
+# events exactly at t2, with t1 between grid times
+@example(_COINCIDENT, _LONGER, 1, 2.0, [(6, 2)])
+# events at the truncated t2: group 1 runs out of risk at 3
+@example(_COINCIDENT, _LONGER, 2, 100.0, [(12, 4)])
+@example(_LONGER, _COINCIDENT, 0, 3.5, [])
 def test_entry_integrals_match_the_per_entry_search(sub1, sub2, t1_quarters,
                                                      t2, rho_steps):
     # t1 and the rho breakpoints in quarters: odd ones fall between the
@@ -713,6 +728,18 @@ def test_verdict_reads_method_and_scheme_off_the_block():
     assert normal.critical_value == pytest.approx(scipy.stats.norm.ppf(0.95),
                                                   rel=1e-14)
     assert normal == cb.test_phi_n(p1, p2, cb.TestConfig(t2=4.0))
+
+
+def test_asymptotic_p_value_keeps_the_far_upper_tail():
+    # 1 - Phi(10) is exactly 0 in doubles; the tail itself is 7.62e-24
+    prep = twosample.PreparedTest(
+        n1=2, n2=2, config=cb.TestConfig(), t2=1.5,
+        integrals=np.zeros(8), statistic=10.0, variance=1.0)
+    res = cb.verdict(prep)
+    assert res.studentized == 10.0 and res.reject
+    assert res.p_value > 0.0
+    assert res.p_value == pytest.approx(scipy.stats.norm.sf(10.0), rel=1e-13)
+    assert res.p_value == pytest.approx(7.62e-24, rel=1e-3)
 
 
 def test_phi_star_reports_degenerate_counts():
