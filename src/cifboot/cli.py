@@ -379,6 +379,7 @@ def cmd_simulate(opts: dict):
             "degenerate_windows": rep.degenerate_windows,
             "all_degenerate_datasets": {PHI_W: rep.all_degenerate_phi_w,
                                         PHI_E: rep.all_degenerate_phi_e},
+            "replicates_drawn": {PHI_W: rep.replicates_drawn_phi_w},
             "rates": rep.rates,
             "mc_se": {m: rep.mc_se(m) for m in (PHI_N, PHI_W, PHI_E)},
             "error_count": rep.error_count,

@@ -27,8 +27,8 @@ from .data import (CountingProcessPanel, DataError, check_count,
                    compile_panel_arrays)
 from .resampling import EFRON, WILD_NORMAL, WeightScheme
 from .rng import substream
-from .twosample import NumericalError, TestConfig, prepare_test, \
-    replicate_block, verdict
+from .twosample import NumericalError, TestConfig, early_reject, \
+    prepare_test, replicate_block, verdict
 
 PHI_N = "phi_n"
 PHI_W = "phi_W"
@@ -220,10 +220,13 @@ class MonteCarloReport:
     the first kind and ``all_degenerate_phi_e``/``_phi_w`` the datasets
     whose Efron or wild replicates were all degenerate (a dataset can have
     both).  ``degenerate_*`` and ``truncated_phi_e`` sum the replicate
-    diagnostics (:class:`ReplicateBlock`) over all datasets.  Every field
-    between ``config`` and ``runtime`` is a tally.  ``runtime`` is
-    wall-clock seconds and is the one field excluded from reproducibility
-    comparisons.
+    diagnostics (:class:`ReplicateBlock`) over all datasets.  The wild
+    block stops once its verdict is settled (:func:`early_reject`), so
+    ``degenerate_phi_w`` counts over the wild replicates drawn, and
+    ``replicates_drawn_phi_w`` sums those; every Efron block draws all B.
+    Every field between ``config`` and ``runtime`` is a tally.  ``runtime``
+    is wall-clock seconds and is the one field excluded from
+    reproducibility comparisons.
     """
 
     config: ScenarioConfig
@@ -237,6 +240,7 @@ class MonteCarloReport:
     degenerate_windows: int
     all_degenerate_phi_e: int
     all_degenerate_phi_w: int
+    replicates_drawn_phi_w: int
     runtime: float = field(compare=False)
 
     def count(self, method: str) -> int:
@@ -278,20 +282,24 @@ def _run_range(config: ScenarioConfig, lo: int, hi: int) -> Counter:
             continue
         tally["reject_phi_n"] += verdict(prep).reject
 
-        # Efron first, then wild, off the shared per-dataset weight stream
+        # Efron first, then wild, off the shared per-dataset weight stream;
+        # wild draws last, so it stops once its verdict is settled
         eblock = replicate_block(prep, efron, config.B, rng_weights)
-        wblock = replicate_block(prep, wild, config.B, rng_weights)
+        try:
+            reject_e = verdict(prep, eblock).reject
+        except NumericalError:
+            reject_e = None
+        reject_w, wblock = early_reject(prep, wild, config.B, rng_weights)
         tally.update(degenerate_phi_e=eblock.degenerate,
                      degenerate_phi_w=wblock.degenerate,
-                     truncated_phi_e=eblock.truncated)
-        failed = False
-        for method, block in (("phi_e", eblock), ("phi_w", wblock)):
-            try:
-                tally["reject_" + method] += verdict(prep, block).reject
-            except NumericalError:
+                     truncated_phi_e=eblock.truncated,
+                     replicates_drawn_phi_w=wblock.studentized.size)
+        for method, reject in (("phi_e", reject_e), ("phi_w", reject_w)):
+            if reject is None:
                 tally["all_degenerate_" + method] += 1
-                failed = True
-        tally["error_count"] += failed
+            else:
+                tally["reject_" + method] += reject
+        tally["error_count"] += reject_e is None or reject_w is None
 
     return tally
 

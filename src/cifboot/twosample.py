@@ -223,7 +223,9 @@ def _group_integrals(z: ZArray, t1: float, t2: float, rho: StepFunction,
     f1 = np.empty(pts.size)
     f1[where] = np.concatenate((tab.f1[inner], tab.f1_at(extra)))
     dt = np.diff(pts)
-    rho_v = np.asarray(rho(pts[:-1]), dtype=float)
+    # a constant rho multiplies as a scalar, to the same products
+    rho_v = (np.asarray(rho(pts[:-1]), dtype=float) if rho.jump_times.size
+             else rho.initial_value)
     rho_f1_dt = rho_v * f1[:-1] * dt
     tail_rho = np.concatenate((np.cumsum((rho_v * dt)[::-1])[::-1], [0.0]))
     tail_rho_f1 = np.concatenate((np.cumsum(rho_f1_dt[::-1])[::-1], [0.0]))
@@ -370,6 +372,12 @@ def replicate_block(pooled: PreparedTest, scheme: WeightScheme, B: int,
                           degenerate=degenerate, truncated=truncated)
 
 
+def _bootstrap_rank(alpha: float, B: int) -> int:
+    """ceil((1 - alpha)(B + 1)), exact for the decimal alpha."""
+    num, den = Decimal(str(alpha)).as_integer_ratio()
+    return -(-(den - num) * (B + 1) // den)
+
+
 def bootstrap_critical_value(replicates: np.ndarray, alpha: float) -> float:
     """The rank-ceil((1 - alpha)(B + 1)) order statistic of B replicates,
     or +inf when that rank exceeds B.
@@ -377,8 +385,7 @@ def bootstrap_critical_value(replicates: np.ndarray, alpha: float) -> float:
     The rank is exact for the decimal alpha; ``1.0 - alpha`` can round up
     past an integer (alpha = 0.18, B = 999 would give rank 821, not 820).
     """
-    num, den = Decimal(str(alpha)).as_integer_ratio()
-    rank = -(-(den - num) * (replicates.size + 1) // den)
+    rank = _bootstrap_rank(alpha, replicates.size)
     if rank > replicates.size:
         return math.inf
     return float(np.partition(replicates, rank - 1)[rank - 1])
@@ -427,6 +434,62 @@ def verdict(prep: PreparedTest,
         reject=stud > crit, alpha=alpha, interval=(prep.config.t1, prep.t2),
         truncated=prep.truncated, warning=prep.warning, vn_zero=prep.vn_zero,
         **bootstrap)
+
+
+# the first and the fewest rows of an early_reject checkpoint: a checkpoint
+# costs ~35 us of calls at n1 = n2 = 50, about 30 rows' worth; 64 lets
+# B = 99 stop early too
+_CHECKPOINT_ROWS = 64
+
+
+def early_reject(prep: PreparedTest, scheme: WeightScheme, B: int,
+                 rng: np.random.Generator) -> tuple[bool | None, ReplicateBlock]:
+    """The decision of ``verdict(prep, replicate_block(prep, scheme, B,
+    rng)).reject`` for a wild scheme, drawing only the replicates it needs.
+
+    With r the rank of the critical value, T_n/V_n exceeds the rank-r
+    replicate exactly when r replicates lie below it.  Replicates are drawn
+    in checkpoints; after each, the test rejects once r lie below T_n/V_n
+    and retains once B - r + 1 lie at or above it, but only after a
+    replicate with positive variance, so an all-degenerate block is still
+    drawn in full.  The first checkpoint is ``_CHECKPOINT_ROWS`` rows; each
+    later one runs to where the shares below and at or above T_n/V_n seen
+    so far would settle the nearer decision, and is at least as long.  Wild
+    replicates do not depend on how the rows are split into calls, so the
+    drawn ones are a prefix of the full block and ``rng`` is left as after
+    drawing them.  Returns the decision, None where ``verdict`` raises
+    :class:`NumericalError` (all B replicates degenerate), and the block of
+    the drawn replicates.
+    """
+    if scheme.kind not in (WILD_NORMAL, WILD_POISSON):
+        raise DataError("early decisions need a wild scheme: an Efron block "
+                        "draws its hit counts for all B replicates first")
+    B = check_count("B", B, 1)
+    stud, rank = prep.studentized, _bootstrap_rank(prep.config.alpha, B)
+    parts = []
+    drawn = below = positive = 0
+    rows = _CHECKPOINT_ROWS
+    while drawn < B:
+        part = replicate_block(prep, scheme, min(rows, B - drawn), rng)
+        parts.append(part)
+        drawn += part.studentized.size
+        below += int(np.count_nonzero(part.studentized < stud))
+        positive += part.studentized.size - part.degenerate
+        # replicates still missing below, and at or above, to settle it
+        seen = (below, drawn - below)
+        need = (rank - below, B - rank + 1 - seen[1])
+        if min(need) <= 0:
+            if positive:
+                break
+            rows = _CHECKPOINT_ROWS
+        else:
+            # to where the shares seen so far would settle the nearer side
+            rows = max(_CHECKPOINT_ROWS, min(-(-n * drawn // s)
+                                             for n, s in zip(need, seen) if s))
+    block = ReplicateBlock(
+        studentized=np.concatenate([p.studentized for p in parts]),
+        scheme=scheme.kind, degenerate=sum(p.degenerate for p in parts))
+    return (below >= rank if positive else None), block
 
 
 def test_phi_n(panel1: CountingProcessPanel, panel2: CountingProcessPanel,

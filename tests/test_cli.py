@@ -462,6 +462,8 @@ def test_cli_simulate_table1_cell(tmp_path):
     assert set(cell["truncated_variances"]) == {"phi_E"}
     assert set(cell["all_degenerate_datasets"]) == {"phi_W", "phi_E"}
     assert cell["degenerate_windows"] <= cell["error_count"]
+    # the wild block stops early; B = 19 fits one checkpoint
+    assert cell["replicates_drawn"] == {"phi_W": 6 * 19}
     man = json.loads((outs[0] / "manifest.json").read_text())
     assert len(man["cell_runtimes_seconds"]) == 1
 

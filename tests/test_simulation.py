@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cifboot as cb
-from cifboot import simulation
+from cifboot import simulation, twosample
 from cifboot.simulation import (PHI_E, PHI_N, PHI_W, ConstantPair, Group1Exp,
                                 PiecewiseConstant, ScenarioConfig, draw_panel,
                                 MonteCarloReport, parse_cells, run_scenario,
@@ -358,6 +358,38 @@ def test_simulate_tallies_are_the_test_verdicts():
     # every cause shows up, and so do rejections
     assert all(expected[n] > 0 for n in names[3:])
     assert expected["reject_phi_e"] + expected["reject_phi_w"] > 0
+
+
+def test_wild_tallies_count_the_replicates_drawn():
+    # the wild block draws after the whole Efron block and stops once its
+    # verdict is settled: degenerate_phi_w and replicates_drawn_phi_w sum
+    # over the wild replicates drawn, short of B on most datasets
+    config = fast_config(n1=4, n2=4, censor_rates=(2.0, 2.0), n_sim=40, B=199)
+    efron, wild = cb.WeightScheme(EFRON), cb.WeightScheme(WILD_NORMAL)
+    expected, tested = Counter(), 0
+    for r in range(config.n_sim):
+        rng_data = substream(config.seed, config.scenario_id, r, "data")
+        rng_weights = substream(config.seed, config.scenario_id, r, "weights")
+        p1 = draw_panel(config.model1, config.n1, config.censor_rates[0],
+                        rng_data)
+        p2 = draw_panel(config.model2, config.n2, config.censor_rates[1],
+                        rng_data)
+        try:
+            prep = cb.prepare_test(p1, p2, config.test_config)
+        except cb.DataError:
+            continue
+        tested += 1
+        cb.replicate_block(prep, efron, config.B, rng_weights)
+        _, block = twosample.early_reject(prep, wild, config.B, rng_weights)
+        expected.update(degenerate_phi_w=block.degenerate,
+                        replicates_drawn_phi_w=block.studentized.size)
+    report = run_scenario(config)
+    assert (report.degenerate_phi_w, report.replicates_drawn_phi_w) == (
+        expected["degenerate_phi_w"], expected["replicates_drawn_phi_w"])
+    # normal multipliers are degenerate only on a dataset without a nonzero
+    # integral, which draws all B
+    assert report.degenerate_phi_w == report.all_degenerate_phi_w * config.B > 0
+    assert report.replicates_drawn_phi_w < tested * config.B * 3 / 4
 
 
 def test_report_rates():

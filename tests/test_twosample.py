@@ -752,6 +752,188 @@ def test_phi_star_reports_degenerate_counts():
     assert res.p_value >= (1 + 0) / 100
 
 
+# ------------------------------------------------------------- early decisions
+
+def _early_prep(stud, k=None, alpha=0.05, B=999):
+    """A dataset whose T_n/V_n is exactly ``stud`` (V_n^2 = 1), over the
+    window integrals of a drawn n1 = n2 = 50 pair (64 nonzero), of which
+    only the first ``k`` nonzero ones are kept when k is given."""
+    rng = np.random.default_rng(31)
+    prep = twosample.prepare_test(draw_panel(Group1Exp(), 50, 0.5, rng),
+                                  draw_panel(ConstantPair(1.0), 50, 0.5, rng),
+                                  cb.TestConfig())
+    integrals = prep.integrals.copy()
+    if k is not None:
+        integrals[np.flatnonzero(integrals)[k:]] = 0.0
+    return dataclasses.replace(
+        prep, config=cb.TestConfig(alpha=alpha, B=B), integrals=integrals,
+        statistic=float(stud), variance=1.0)
+
+
+def _ulps(values):
+    """The values and their neighbours one ulp either side, in order."""
+    values = np.asarray(values, dtype=float)
+    return np.unique(np.concatenate((np.nextafter(values, -np.inf), values,
+                                     np.nextafter(values, np.inf))))
+
+
+def _record_checkpoints(monkeypatch):
+    """The rows of each replicate_block call early_reject makes."""
+    rows, draw = [], twosample.replicate_block
+
+    def recorded(pooled, scheme, B, rng):
+        rows.append(B)
+        return draw(pooled, scheme, B, rng)
+
+    monkeypatch.setattr(twosample, "replicate_block", recorded)
+    return rows
+
+
+@pytest.mark.parametrize("least", [1, 64])
+def test_early_decision_at_the_critical_replicate(monkeypatch, least):
+    # T_n/V_n at the rank-r replicate of the full block and one ulp either
+    # side: the test rejects once r replicates lie strictly below it.  The
+    # (B - r + 1)-th largest replicate, where a retain settles, is that same
+    # order statistic; its neighbours at ranks r - 1 and r + 1 are checked
+    # too.  The block stops at the first checkpoint where the decision is
+    # settled, whatever the checkpoints' lengths
+    B, wild = 999, cb.WeightScheme(WILD_NORMAL)
+    base = _early_prep(0.0)
+    full = twosample.replicate_block(base, wild, B, np.random.default_rng(4))
+    ordered = np.sort(full.studentized)
+    r = twosample._bootstrap_rank(0.05, B)
+    assert r == 950 and ordered[B - (B - r + 1)] == ordered[r - 1]
+    monkeypatch.setattr(twosample, "_CHECKPOINT_ROWS", least)
+    rows = _record_checkpoints(monkeypatch)
+    decisions = []
+    for stud in _ulps(ordered[r - 2:r + 1]):
+        prep = dataclasses.replace(base, statistic=float(stud))
+        rows.clear()
+        reject, block = twosample.early_reject(prep, wild, B,
+                                               np.random.default_rng(4))
+        assert reject == cb.verdict(prep, full).reject, stud
+        decisions.append(reject)
+        below = np.cumsum(full.studentized < stud)
+        settled = (below >= r) | (np.arange(1, B + 1) - below >= B - r + 1)
+        ends = np.cumsum(rows)
+        assert ends[-1] == block.studentized.size and rows[0] == least
+        assert settled[ends[-1] - 1] and not np.any(settled[ends[:-1] - 1])
+    # at and below the rank-r replicate it retains, one ulp above it rejects
+    assert decisions == [False] * 5 + [True] * 4
+
+
+def test_early_checkpoints_run_to_the_projected_settling_point(monkeypatch):
+    # with every replicate below T_n/V_n, the second checkpoint runs to the
+    # rank-r replicate, where the test rejects; with every one at or above
+    # it, the first checkpoint already holds the B - r + 1 that retain
+    rows = _record_checkpoints(monkeypatch)
+    wild = cb.WeightScheme(WILD_NORMAL)
+    for stud, want, decision in ((1e9, [64, 886], True), (-1e9, [64], False)):
+        rows.clear()
+        reject, _ = twosample.early_reject(_early_prep(stud), wild, 999,
+                                           np.random.default_rng(2))
+        assert (rows, reject) == (want, decision)
+
+
+@pytest.mark.parametrize("kind", [WILD_NORMAL, WILD_POISSON])
+@pytest.mark.parametrize("k", [1, 3, None])
+def test_early_decision_is_the_full_verdict(kind, k):
+    # T_n/V_n at replicates of the full block (those around the critical
+    # rank and a spread of others) and one ulp either side, at several
+    # levels and B.  One nonzero integral makes every replicate -1 or +1
+    # (ties); Poisson multipliers add degenerate replicates at 0
+    scheme = cb.WeightScheme(kind)
+    # 1 - alpha rounds up past the rank's integer at (0.41, 99) and
+    # (0.18, 999), so a float rank is off by one there
+    for alpha, B in ((0.05, 99), (0.41, 99), (0.18, 999), (0.5, 64),
+                     (0.05, 19), (0.01, 19), (0.05, 999)):
+        base = _early_prep(0.0, k=k, alpha=alpha, B=B)
+        full = twosample.replicate_block(base, scheme, B,
+                                         np.random.default_rng(B))
+        ordered = np.sort(full.studentized)
+        r = min(twosample._bootstrap_rank(alpha, B), B)
+        picks = np.unique(np.concatenate((ordered[max(r - 2, 0):r + 1],
+                                          ordered[::max(1, B // 8)])))
+        for stud in _ulps(picks):
+            prep = dataclasses.replace(base, statistic=float(stud))
+            reject, _ = twosample.early_reject(prep, scheme, B,
+                                               np.random.default_rng(B))
+            assert reject == cb.verdict(prep, full).reject, (alpha, B, stud)
+
+
+@pytest.mark.parametrize("kind", [WILD_NORMAL, WILD_POISSON])
+def test_early_replicates_are_a_prefix_of_the_full_block(kind):
+    # the replicates drawn are the full block's first rows bit for bit, and
+    # the generator is left as after drawing that many rows in one call
+    scheme = cb.WeightScheme(kind)
+    full = twosample.replicate_block(_early_prep(0.0), scheme, 999,
+                                     np.random.default_rng(12))
+    sizes = set()
+    for stud in (-1.0, 1.0, 1.645, 3.0):
+        prep = _early_prep(stud)
+        rng = np.random.default_rng(12)
+        _, block = twosample.early_reject(prep, scheme, 999, rng)
+        drawn = block.studentized.size
+        sizes.add(drawn)
+        assert (block.studentized.tobytes()
+                == full.studentized[:drawn].tobytes()), stud
+        after = np.random.default_rng(12)
+        prefix = twosample.replicate_block(prep, scheme, drawn, after)
+        assert block.degenerate == prefix.degenerate
+        assert rng.bit_generator.state == after.bit_generator.state
+    assert len(sizes) > 1 and min(sizes) < 999
+
+
+def test_early_decision_retains_at_the_first_positive_replicate(monkeypatch):
+    # B = 19 at alpha = 0.01 needs rank 20 > B: the test cannot reject, so
+    # it stops at the first replicate of positive variance, even with
+    # T_n/V_n above them all.  Poisson multipliers on one nonzero integral
+    # make this stream's first three replicates degenerate
+    assert twosample._bootstrap_rank(0.01, 19) == 20
+    scheme = cb.WeightScheme(WILD_POISSON)
+    prep = _early_prep(10.0, k=1, alpha=0.01, B=19)
+    full = twosample.replicate_block(prep, scheme, 19, np.random.default_rng(10))
+    np.testing.assert_array_equal(full.studentized[:4], [0.0, 0.0, 0.0, 1.0])
+    assert not cb.verdict(prep, full).reject
+    monkeypatch.setattr(twosample, "_CHECKPOINT_ROWS", 1)
+    reject, block = twosample.early_reject(prep, scheme, 19,
+                                           np.random.default_rng(10))
+    assert reject is False
+    assert (block.studentized.size, block.degenerate) == (4, 3)
+    monkeypatch.undo()
+    # one checkpoint spans all of B = 19; at B = 999 the first one settles
+    _, block = twosample.early_reject(prep, scheme, 19, np.random.default_rng(10))
+    assert block.studentized.size == 19
+    prep = _early_prep(10.0, alpha=0.0005, B=999)
+    assert twosample._bootstrap_rank(0.0005, 999) == 1000
+    reject, block = twosample.early_reject(prep, cb.WeightScheme(WILD_NORMAL),
+                                           999, np.random.default_rng(10))
+    assert reject is False
+    assert block.studentized.size == twosample._CHECKPOINT_ROWS
+
+
+def test_early_decision_without_nonzero_entries_is_all_degenerate():
+    # k = 0 (no event in the window): nothing is drawn, all B replicates
+    # are degenerate and the decision is undefined, where verdict raises
+    prep = _early_prep(1.0, k=0, B=99)
+    assert not np.any(prep.integrals)
+    wild = cb.WeightScheme(WILD_NORMAL)
+    rng = np.random.default_rng(6)
+    reject, block = twosample.early_reject(prep, wild, 99, rng)
+    assert reject is None
+    assert block.studentized.size == block.degenerate == 99
+    assert rng.bit_generator.state == np.random.default_rng(6).bit_generator.state
+    with pytest.raises(cb.NumericalError, match="no events inside the window"):
+        cb.verdict(prep, twosample.replicate_block(prep, wild, 99, rng))
+
+
+def test_early_decision_refuses_efron():
+    # an Efron block draws its hit counts for all B before any label
+    with pytest.raises(cb.DataError, match="wild scheme"):
+        twosample.early_reject(_early_prep(0.0), cb.WeightScheme(EFRON), 99,
+                               np.random.default_rng(0))
+
+
 def test_result_decision_labels():
     p1, p2 = hand_pair()
     res = cb.test_phi_n(p1, p2, cb.TestConfig(t2=3.0))
